@@ -5,7 +5,8 @@
 // tag/kind-index hot path (warm index-backed pushdown, the cold rescan
 // baseline, and the index build itself), the value-index hot path
 // (warm value-fragment semijoin, the per-node re-evaluation baseline,
-// the value-index build, and top-1 contains() latency), the greedy
+// the value-index build, and top-1 contains() latency), the SCJ2 load
+// of a value-bearing document (doc.ReadBinary), the greedy
 // filter-ordering hot path (warm reordered evaluation, the
 // source-order baseline, and the adaptive re-planning cursor drain),
 // plan compilation, the query server's warm plan-cache request path, the
@@ -17,6 +18,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -76,7 +78,7 @@ func smokeFamily(c *Corpus) []struct {
 	vd.ValueIndex() // warm so the Warm run measures steady state
 	// Value benchmarks run prepared plans (the server's steady state):
 	// the warm plan materialises its value fragment once, so per-op
-	// time is the semijoin probes, not the B-tree range scan.
+	// time is the semijoin probes, not the index range copy.
 	evalV := func(q string, opts *engine.Options) func(b *testing.B) {
 		return func(b *testing.B) {
 			p, err := ve.PrepareString(q, opts)
@@ -123,7 +125,7 @@ func smokeFamily(c *Corpus) []struct {
 		{"EnginePushdownWarm", evalQ(Q1, &engine.Options{Pushdown: engine.PushAlways})},
 		{"EnginePushdownCold", evalQ(Q1, &engine.Options{Pushdown: engine.PushAlways, NoIndex: true})},
 		// The value-index hot path: warm = pre-sorted fragments from the
-		// string/numeric value B-trees semijoined against the context;
+		// string/numeric value index semijoined against the context;
 		// rescan = Options.NoValueIndex, the predicate sub-plan running
 		// once per candidate node.
 		{"ValuePushdownWarm", evalV(QValueRange, nil)},
@@ -173,6 +175,21 @@ func smokeFamily(c *Corpus) []struct {
 				}
 				if len(r.Nodes) != 1 {
 					b.Fatal("no first result")
+				}
+			}
+		}},
+		// Cold catalog load: ReadBinary of the value-bearing smoke
+		// document's SCJ2 bytes, both index sections included, with
+		// every validation pass.
+		{"DocReadBinary", func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := vd.WriteBinary(&buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := doc.ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}},

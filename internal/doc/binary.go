@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 
+	"staircase/internal/binio"
 	"staircase/internal/fault"
 	"staircase/internal/index"
 	"staircase/internal/vindex"
@@ -144,56 +145,11 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("doc: unreasonable string length %d", n)
-	}
-	// Read in bounded chunks: a forged length on a truncated stream
-	// fails after one small allocation instead of committing 256 MB.
-	const chunk = 1 << 16
-	var sb strings.Builder
-	buf := make([]byte, min(int(n), chunk))
-	for remaining := int(n); remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return "", err
-		}
-		sb.Write(buf[:c])
-		remaining -= c
-	}
-	return sb.String(), nil
-}
+// maxStringLen bounds one stored string (a name or a node value).
+const maxStringLen = 1 << 28
 
-// readInt32Col reads n little-endian int32s in bounded chunks, so a
-// corrupt node count on a short stream errors out after at most one
-// chunk's allocation rather than up-front gigabytes.
-func readInt32Col(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 20 // entries per read
-	if n <= chunk {
-		col := make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, col); err != nil {
-			return nil, err
-		}
-		return col, nil
-	}
-	col := make([]int32, 0, chunk)
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		part := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
-}
-
-// readByteCol is readInt32Col for byte columns.
+// readByteCol reads n bytes in bounded chunks, so a corrupt node count
+// on a short stream errors out after at most one chunk's allocation.
 func readByteCol(r io.Reader, n int) ([]byte, error) {
 	const chunk = 1 << 22
 	col := make([]byte, 0, min(n, chunk))
@@ -260,7 +216,7 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	d := &Document{names: NewDict(), height: height}
 	var err error
 	for _, col := range []*[]int32{&d.post, &d.level, &d.parent} {
-		if *col, err = readInt32Col(br, int(n)); err != nil {
+		if *col, err = binio.ReadInts[int32](br, int(n)); err != nil {
 			return nil, err
 		}
 	}
@@ -272,7 +228,7 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	for i, k := range kinds {
 		d.kind[i] = Kind(k)
 	}
-	if d.name, err = readInt32Col(br, int(n)); err != nil {
+	if d.name, err = binio.ReadInts[int32](br, int(n)); err != nil {
 		return nil, err
 	}
 	var dictLen uint32
@@ -282,26 +238,20 @@ func ReadBinary(r io.Reader) (*Document, error) {
 	if dictLen > n {
 		return nil, fmt.Errorf("doc: dictionary of %d names exceeds node count %d", dictLen, n)
 	}
-	for i := uint32(0); i < dictLen; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
+	names, err := binio.ReadStrings(br, int(dictLen), maxStringLen)
+	if err != nil {
+		return nil, fmt.Errorf("doc: read dictionary: %w", err)
+	}
+	for i, s := range names {
 		d.names.Intern(s)
-		if d.names.Len() != int(i)+1 {
+		if d.names.Len() != i+1 {
 			return nil, fmt.Errorf("doc: duplicate dictionary entry %q", s)
 		}
 	}
 	if flags&flagHasValues != 0 {
-		vals := make([]string, 0, min(int(n), 1<<20))
-		for i := 0; i < int(n); i++ {
-			s, err := readString(br)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
+		if d.value, err = binio.ReadStrings(br, int(n), maxStringLen); err != nil {
+			return nil, fmt.Errorf("doc: read node values: %w", err)
 		}
-		d.value = vals
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("doc: corrupt binary document: %w", err)
@@ -361,13 +311,14 @@ func (d *Document) validateIndex(ix *index.Index) error {
 }
 
 // validateValueIndex checks a deserialized value section against the
-// document: every keyed node's recomputed string value must equal the
-// value it is listed under, and every overflow node's value must
-// actually exceed vindex.MaxKeyLen. Combined with the structural
-// guarantees of vindex.ReadSection (sortedness, exact partition of
-// [0, n)) this pins the section to the one canonical value index of
-// the document — a corrupt section can never silently change query
-// results.
+// document: every keyed node's string value must equal the value it is
+// listed under, and every overflow node's value must actually exceed
+// vindex.MaxKeyLen. Both checks run in place over the value column,
+// building no strings. Combined with the structural guarantees of
+// vindex.ReadSection (sortedness, keys of at most MaxKeyLen bytes,
+// exact partition of [0, n)) this pins the section to the one
+// canonical value index of the document — a corrupt section can never
+// silently change query results.
 func (d *Document) validateValueIndex(ix *vindex.Index) error {
 	var bad error
 	ix.ForEachString(func(val string, pres []int32) {
@@ -375,8 +326,7 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 			return
 		}
 		for _, v := range pres {
-			s, ok := d.boundedStringValue(v)
-			if !ok || s != val {
+			if !d.stringValueIs(v, val) {
 				bad = fmt.Errorf("vindex: node %d keyed under %q but its string value differs", v, val)
 				return
 			}
@@ -386,11 +336,51 @@ func (d *Document) validateValueIndex(ix *vindex.Index) error {
 		return bad
 	}
 	for _, v := range ix.Overflow() {
-		if _, ok := d.boundedStringValue(v); ok {
+		if !d.valueOverflows(v) {
 			return fmt.Errorf("vindex: node %d in overflow but its value fits a key", v)
 		}
 	}
 	return nil
+}
+
+// stringValueIs reports whether node pre's string value is exactly
+// val, matching an element's text descendants against successive
+// slices of val and stopping at the first difference.
+func (d *Document) stringValueIs(pre int32, val string) bool {
+	switch d.kind[pre] {
+	case Text, Attr, Comment, PI:
+		return d.value[pre] == val
+	}
+	end := pre + d.SubtreeSize(pre)
+	for v := pre + 1; v <= end; v++ {
+		if d.kind[v] == Text {
+			t := d.value[v]
+			if !strings.HasPrefix(val, t) {
+				return false
+			}
+			val = val[len(t):]
+		}
+	}
+	return val == ""
+}
+
+// valueOverflows reports whether node pre's string value is longer than
+// vindex.MaxKeyLen, summing text lengths until the sum passes the cap.
+func (d *Document) valueOverflows(pre int32) bool {
+	switch d.kind[pre] {
+	case Text, Attr, Comment, PI:
+		return len(d.value[pre]) > vindex.MaxKeyLen
+	}
+	total := 0
+	end := pre + d.SubtreeSize(pre)
+	for v := pre + 1; v <= end; v++ {
+		if d.kind[v] == Text {
+			if total += len(d.value[v]); total > vindex.MaxKeyLen {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // EncodedBytes returns the in-memory footprint of the structural

@@ -2,9 +2,13 @@ package doc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"staircase/internal/vindex"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -301,5 +305,132 @@ func TestEncodedBytesStorageClaim(t *testing.T) {
 	want := int64(10*17) + int64(len("abcdefghij")) + 10*4
 	if got != want {
 		t.Fatalf("EncodedBytes = %d, want %d", got, want)
+	}
+}
+
+// valuesOffset returns where the node-value column (or, for a
+// value-less document, the section after the dictionary) starts in the
+// binary encoding of d: the header, the five n-entry columns and the
+// length-prefixed dictionary precede it.
+func valuesOffset(d *Document) int {
+	off := 16 + 17*d.Size() + 4
+	for id := 0; id < d.Names().Len(); id++ {
+		off += 4 + len(d.Names().Name(int32(id)))
+	}
+	return off
+}
+
+// allocDuring reports the bytes f allocates.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestReadBinaryForgedLengthsFailSmall(t *testing.T) {
+	d, err := ShredString(`<r><a>xy<b/>z</a><c>short</c></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	var sec bytes.Buffer
+	if err := d.ValueIndex().WriteSection(&sec); err != nil {
+		t.Fatal(err)
+	}
+	// The value section ends the file; its first value length follows
+	// the three-word section header.
+	vsec := len(raw) - sec.Len()
+	cases := []struct {
+		name string
+		at   int
+		l    uint32
+	}{
+		{"node value", valuesOffset(d), 1 << 28},
+		{"value section", vsec + 12, vindex.MaxKeyLen + 1},
+	}
+	for _, c := range cases {
+		mut := bytes.Clone(raw[:c.at+4+16])
+		binary.LittleEndian.PutUint32(mut[c.at:], c.l)
+		var rerr error
+		alloc := allocDuring(func() { _, rerr = ReadBinary(bytes.NewReader(mut)) })
+		if rerr == nil {
+			t.Errorf("%s: forged length %d on a truncated stream accepted", c.name, c.l)
+		}
+		if alloc >= 4<<20 {
+			t.Errorf("%s: forged length %d allocated %d bytes", c.name, c.l, alloc)
+		}
+	}
+}
+
+func TestReadBinaryRejectsValueIndexMismatch(t *testing.T) {
+	long := strings.Repeat("w", vindex.MaxKeyLen+1)
+	d, err := ShredString(`<r><a>xy<b/>z</a><c>short</c><l>` + long + `</l></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var sec bytes.Buffer
+	if err := d.ValueIndex().WriteSection(&sec); err != nil {
+		t.Fatal(err)
+	}
+	head := buf.Bytes()[:buf.Len()-sec.Len()]
+	find := func(name string) int32 {
+		for v := int32(0); int(v) < d.Size(); v++ {
+			if d.KindOf(v) == Elem && d.Name(v) == name {
+				return v
+			}
+		}
+		t.Fatalf("no element %q", name)
+		return -1
+	}
+	a, c := find("a"), find("c")
+	// load replaces the value section with one built from the true
+	// values, except that node forged gets value val (overflow when
+	// val is long).
+	load := func(forged int32, val string) error {
+		var b vindex.Builder
+		for v := int32(0); int(v) < d.Size(); v++ {
+			s, ok := d.boundedStringValue(v)
+			if v == forged {
+				s, ok = val, len(val) <= vindex.MaxKeyLen
+			}
+			if ok {
+				b.Add(v, s)
+			} else {
+				b.AddOverflow(v)
+			}
+		}
+		var fsec bytes.Buffer
+		if err := b.Build(d.Size()).WriteSection(&fsec); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(bytes.NewReader(append(bytes.Clone(head), fsec.Bytes()...)))
+		return err
+	}
+	if err := load(a, "xyz"); err != nil {
+		t.Fatalf("true value section rejected: %v", err)
+	}
+	for _, val := range []string{"xyZ", "Xyz", "xy", "xyzz", "xz", "", "shorT"} {
+		if err := load(a, val); err == nil {
+			t.Errorf("element keyed under %q, value %q, accepted", val, "xyz")
+		}
+	}
+	if err := load(c+1, "shorT"); err == nil {
+		t.Error("text node keyed under a value one byte off accepted")
+	}
+	if err := load(c, long); err == nil {
+		t.Error("overflow node whose value fits a key accepted")
+	}
+	if err := load(find("l"), "w"); err == nil {
+		t.Error("keyed node whose value overflows accepted")
 	}
 }

@@ -29,6 +29,19 @@ func fuzzSeedDocs(f *testing.F) [][]byte {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, v1.Bytes())
+		// Flip the low and the high byte of the length just after the
+		// dictionary: the first node value's, or the first word of the
+		// v2 index section when values were dropped.
+		at := valuesOffset(d)
+		for _, enc := range [][]byte{buf.Bytes(), v1.Bytes()} {
+			for _, i := range []int{at, at + 3} {
+				if i < len(enc) {
+					mut := bytes.Clone(enc)
+					mut[i] ^= 0xff
+					seeds = append(seeds, mut)
+				}
+			}
+		}
 	}
 	da, err := Shred(strings.NewReader(xmlA))
 	if err != nil {

@@ -30,6 +30,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"staircase/internal/binio"
 )
 
 // Index holds one pre-sorted node list per element tag and per
@@ -268,7 +270,7 @@ func ReadSection(r io.Reader, n, numNames, numKinds int, elem uint8) (*Index, er
 		if err := binary.Read(r, binary.LittleEndian, &max); err != nil {
 			return nil, err
 		}
-		list, err := readInt32Chunked(r, int(count))
+		list, err := binio.ReadInts[int32](r, int(count))
 		if err != nil {
 			return nil, fmt.Errorf("index: read %s entries: %w", what, err)
 		}
@@ -311,32 +313,4 @@ func ReadSection(r io.Reader, n, numNames, numKinds int, elem uint8) (*Index, er
 		return nil, fmt.Errorf("index: lists index %d entries, document has %d nodes", total, n)
 	}
 	return ix, nil
-}
-
-// readInt32Chunked reads n little-endian int32s in bounded chunks so a
-// forged length on a truncated stream errors out after one chunk's
-// allocation.
-func readInt32Chunked(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		col := make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, col); err != nil {
-			return nil, err
-		}
-		return col, nil
-	}
-	col := make([]int32, 0, chunk)
-	for remaining := n; remaining > 0; {
-		c := chunk
-		if remaining < c {
-			c = remaining
-		}
-		part := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
 }

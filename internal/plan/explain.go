@@ -534,7 +534,10 @@ func (p *Plan) renderParallel(t *joinOp, st *StepStats, ost *opStat, line func(s
 }
 
 // valueSource names where a value fragment comes from in this plan's
-// configuration — the fragment-source line of ValueScan leaves.
+// configuration — the fragment-source line of ValueScan leaves. The
+// labels predate the flat CSR value index and are pinned by the
+// EXPLAIN goldens; "B-tree" names the sorted partition the fragment is
+// copied from.
 func (p *Plan) valueSource(t *valueScan) string {
 	if p.opts.NoValueIndex {
 		return "per-node evaluation (value index disabled)"

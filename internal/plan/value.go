@@ -7,7 +7,7 @@
 //	Filter(S, [contains(axis::t,l)]) =>  ValueSemiJoin(S, axis, ValueScan(t, contains l))
 //
 // ValueScan resolves the predicate to a pre-sorted node-list fragment:
-// a B-tree range lookup over the index's string or numeric partition
+// a range copy out of the index's string or numeric CSR partition
 // (typed by the literal), filtered by the predicate's node test, plus
 // the re-evaluated overflow nodes (values longer than the index key
 // cap). ValueSemiJoin then keeps the input nodes that stand in the
@@ -55,7 +55,7 @@ type valueScan struct {
 	// The fragment is a pure function of the plan's document and
 	// predicate (both immutable after Compile), so it is materialised
 	// at most once per plan and shared read-only by every Run — the
-	// B-tree range scan and node-test filter price a prepared plan's
+	// index range copy and node-test filter price a prepared plan's
 	// first execution, not each one.
 	once sync.Once
 	frag []int32

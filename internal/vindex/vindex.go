@@ -8,22 +8,23 @@
 // like [price > 100] or a contains() call normally forces the engine
 // to compute the string value of every candidate node. With the value
 // index, the predicate becomes a range over sorted distinct values —
-// resolved to a rank interval by binary search and drained from a
-// B+-tree (internal/btree) keyed (value rank, pre) — yielding a
-// pre-sorted node fragment the staircase semijoin machinery can
-// intersect with the context, exactly like a name-test fragment.
+// resolved to a rank interval by binary search and copied out of the
+// CSR node list, whose (value rank, pre) order is already key order —
+// yielding a pre-sorted node fragment the staircase semijoin machinery
+// can intersect with the context, exactly like a name-test fragment.
 //
 // Layout: the distinct string values are sorted and stored once; a CSR
 // pair (offsets + node list) maps each value rank to its pre-sorted
-// occupant list. Values longer than MaxKeyLen are not keyed — their
-// nodes go to the overflow list and are re-evaluated per node at query
-// time, so a pathological value (the root element's string value is
-// the whole document text) costs one int32, not a copy of the
-// document. The numeric partition (ranks whose value parses via
-// ParseNumber — the canonical numeric-value semantics, which
-// internal/xpath re-exports for the executors) is derived from the
-// string partition, both at build and at load time, so the two can
-// never disagree.
+// occupant list. The index is nothing but these flat arrays, so it
+// loads back with bulk reads and no tree to rebuild. Values longer
+// than MaxKeyLen are not keyed — their nodes go to the overflow list
+// and are re-evaluated per node at query time, so a pathological value
+// (the root element's string value is the whole document text) costs
+// one int32, not a copy of the document. The numeric partition (ranks
+// whose value parses via ParseNumber — the canonical numeric-value
+// semantics, which internal/xpath re-exports for the executors) is
+// derived from the string partition, both at build and at load time,
+// so the two can never disagree.
 //
 // Every node of the document is indexed: the keyed lists plus the
 // overflow list form an exact partition of [0, n), which is what
@@ -36,15 +37,17 @@
 package vindex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"staircase/internal/btree"
+	"staircase/internal/binio"
 )
 
 // ParseNumber parses a node string value (or literal) as a finite
@@ -55,7 +58,14 @@ import (
 // semantics; internal/xpath re-exports it so index lookups and
 // per-node comparison agree by construction.
 func ParseNumber(s string) (float64, bool) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	s = strings.TrimSpace(s)
+	// A finite decimal or hex float starts with a digit, a sign or a
+	// point; every other first byte is a syntax error or inf/NaN, so
+	// such values skip the parser and the error it allocates.
+	if s == "" || strings.IndexByte("0123456789+-.", s[0]) < 0 {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0, false
 	}
@@ -118,9 +128,6 @@ type Index struct {
 
 	overflow []int32 // nodes with values > MaxKeyLen, ascending
 
-	strTree *btree.Tree // (string rank, pre) -> pre
-	numTree *btree.Tree // (numeric rank, pre) -> pre
-
 	nodes int // document size the index was built for
 }
 
@@ -140,7 +147,7 @@ type entry struct {
 
 // Add records one node's string value. Calls must arrive in strictly
 // increasing pre order (the document pass), covering every node; Add
-// panics on out-of-order input like btree.BulkLoad does.
+// panics on out-of-order input.
 func (b *Builder) Add(pre int32, val string) {
 	if len(val) > MaxKeyLen {
 		b.AddOverflow(pre)
@@ -173,9 +180,14 @@ func (b *Builder) Build(n int) *Index {
 		panic(fmt.Sprintf("vindex: %d entries for a document of %d nodes",
 			len(b.entries)+len(b.overflow), n))
 	}
-	// Stable by value: Add delivered pres in preorder, so each value
-	// group stays ascending.
-	sort.SliceStable(b.entries, func(i, j int) bool { return b.entries[i].val < b.entries[j].val })
+	// Pre ranks are unique, so ordering by (val, pre) keeps each value
+	// group ascending without a stable sort.
+	slices.SortFunc(b.entries, func(x, y entry) int {
+		if c := strings.Compare(x.val, y.val); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pre, y.pre)
+	})
 	var (
 		strs   []string
 		strOff = make([]uint32, 0, 16)
@@ -199,63 +211,41 @@ func (b *Builder) Build(n int) *Index {
 }
 
 // newIndex assembles an Index from a validated (or freshly built)
-// string partition: it derives the numeric partition and bulk-loads
-// the rank trees.
+// string partition and derives the numeric partition from it.
 func newIndex(strs []string, strOff []uint32, strPre []int32, overflow []int32, n int) *Index {
 	ix := &Index{
 		strs: strs, strOff: strOff, strPre: strPre,
 		overflow: overflow, nodes: n,
 	}
-	type numEntry struct {
-		f   float64
-		pre int32
+	// Sort the parsable value ranks by number, then lay out each
+	// number's group: the CSR lists of every rank parsing to it, merged
+	// into pre order when more than one spelling ("10", "10.0") does.
+	type numRank struct {
+		f float64
+		r int
 	}
-	var nes []numEntry
+	var nrs []numRank
 	for r, s := range strs {
-		f, ok := ParseNumber(s)
-		if !ok {
-			continue
-		}
-		for _, p := range strPre[strOff[r]:strOff[r+1]] {
-			nes = append(nes, numEntry{f, p})
+		if f, ok := ParseNumber(s); ok {
+			nrs = append(nrs, numRank{f, r})
 		}
 	}
-	sort.Slice(nes, func(i, j int) bool {
-		if nes[i].f != nes[j].f {
-			return nes[i].f < nes[j].f
-		}
-		return nes[i].pre < nes[j].pre
-	})
+	slices.SortFunc(nrs, func(x, y numRank) int { return cmp.Compare(x.f, y.f) })
 	ix.numOff = append(ix.numOff, 0)
-	for i, e := range nes {
-		if i == 0 || e.f != nes[i-1].f {
-			ix.nums = append(ix.nums, e.f)
-			if i > 0 {
-				ix.numOff = append(ix.numOff, uint32(i))
-			}
+	for i := 0; i < len(nrs); {
+		j, start := i, len(ix.numPre)
+		for ; j < len(nrs) && nrs[j].f == nrs[i].f; j++ {
+			r := nrs[j].r
+			ix.numPre = append(ix.numPre, strPre[strOff[r]:strOff[r+1]]...)
 		}
-		ix.numPre = append(ix.numPre, e.pre)
+		if j-i > 1 {
+			slices.Sort(ix.numPre[start:])
+		}
+		ix.nums = append(ix.nums, nrs[i].f)
+		ix.numOff = append(ix.numOff, uint32(len(ix.numPre)))
+		i = j
 	}
-	ix.numOff = append(ix.numOff, uint32(len(ix.numPre)))
-	if len(ix.nums) == 0 {
-		ix.numOff = ix.numOff[:1]
-	}
-	ix.strTree = bulkRankTree(ix.strOff, ix.strPre)
-	ix.numTree = bulkRankTree(ix.numOff, ix.numPre)
 	return ix
-}
-
-// bulkRankTree bulk-loads a (rank, pre) -> pre B+-tree from a CSR
-// partition. The CSR order is exactly key order, so the load is a
-// single bottom-up pass.
-func bulkRankTree(off []uint32, pres []int32) *btree.Tree {
-	keys := make([]btree.Key, len(pres))
-	for r := 0; r+1 < len(off); r++ {
-		for i := off[r]; i < off[r+1]; i++ {
-			keys[i] = btree.Key{A: int32(r), B: pres[i]}
-		}
-	}
-	return btree.BulkLoad(keys, pres, nil)
 }
 
 // Nodes returns the size of the document the index was built for.
@@ -278,9 +268,10 @@ func (ix *Index) Entries() int64 {
 // slice must not be modified.
 func (ix *Index) Overflow() []int32 { return ix.overflow }
 
-// Bytes returns the in-memory footprint of the index (strings, CSR
-// arrays, and the rank trees at ~20 bytes per entry). The catalog
-// charges this against its residency budget alongside IndexBytes.
+// Bytes returns the in-memory footprint of the index: the keyed
+// strings, the CSR offsets and node lists, the overflow list and the
+// numeric keys. The catalog charges this against its residency budget
+// alongside IndexBytes.
 func (ix *Index) Bytes() int64 {
 	const stringHeader = 16
 	total := int64(0)
@@ -290,7 +281,6 @@ func (ix *Index) Bytes() int64 {
 	total += 4 * int64(len(ix.strOff)+len(ix.numOff))
 	total += 4 * int64(len(ix.strPre)+len(ix.numPre)+len(ix.overflow))
 	total += 8 * int64(len(ix.nums))
-	total += 20 * int64(len(ix.strPre)+len(ix.numPre)) // rank-tree entries
 	return total
 }
 
@@ -305,7 +295,7 @@ func (ix *Index) LookupString(op Op, lit string) []int32 {
 		gt++
 	}
 	lo, hi := rankInterval(op, ge, gt, n)
-	return ix.scanRanks(ix.strTree, lo, hi)
+	return copyRanks(ix.strOff, ix.strPre, lo, hi)
 }
 
 // LookupNumeric returns the pre-sorted nodes whose value parses as a
@@ -319,7 +309,7 @@ func (ix *Index) LookupNumeric(op Op, f float64) []int32 {
 		gt++
 	}
 	lo, hi := rankInterval(op, ge, gt, n)
-	return ix.scanRanks(ix.numTree, lo, hi)
+	return copyRanks(ix.numOff, ix.numPre, lo, hi)
 }
 
 // rankInterval turns the (first >= lit, first > lit) bracketing ranks
@@ -339,28 +329,24 @@ func rankInterval(op Op, ge, gt, n int) (lo, hi int) {
 	}
 }
 
-// scanRanks drains the tree entries of the inclusive rank interval
-// [lo, hi], restoring document order when the interval spans more than
-// one value group.
-func (ix *Index) scanRanks(t *btree.Tree, lo, hi int) []int32 {
+// copyRanks copies the CSR node lists of the inclusive rank interval
+// [lo, hi] — one contiguous range of pres, in (rank, pre) order — and
+// restores document order when the interval spans more than one value
+// group.
+func copyRanks(off []uint32, pres []int32, lo, hi int) []int32 {
 	if lo > hi {
 		return nil
 	}
-	var out []int32
-	t.Scan(
-		btree.Key{A: int32(lo), B: math.MinInt32},
-		btree.Key{A: int32(hi), B: math.MaxInt32},
-		func(_ btree.Key, v int32) bool { out = append(out, v); return true },
-	)
+	out := slices.Clone(pres[off[lo]:off[hi+1]])
 	if lo != hi {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }
 
 // ContainsSubstr returns the pre-sorted nodes whose keyed string value
 // contains sub. The scan over distinct values is O(#values × |value|);
-// matching groups drain from the rank tree.
+// matching groups are copied out of the CSR node list.
 func (ix *Index) ContainsSubstr(sub string) []int32 {
 	var out []int32
 	groups := 0
@@ -369,14 +355,10 @@ func (ix *Index) ContainsSubstr(sub string) []int32 {
 			continue
 		}
 		groups++
-		ix.strTree.Scan(
-			btree.Key{A: int32(r), B: math.MinInt32},
-			btree.Key{A: int32(r), B: math.MaxInt32},
-			func(_ btree.Key, v int32) bool { out = append(out, v); return true },
-		)
+		out = append(out, ix.strPre[ix.strOff[r]:ix.strOff[r+1]]...)
 	}
 	if groups > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }
@@ -410,9 +392,9 @@ func (ix *Index) ForEachNumeric(f func(val float64, pres []int32)) {
 // MaxKeyLen bytes, offsets are strictly increasing (every distinct
 // value owns at least one node), per-group node lists are strictly
 // ascending, and the keyed lists plus the overflow list partition
-// [0, n) exactly. The numeric partition and the rank trees are not
-// stored — they derive deterministically on load — so writing a
-// freshly read index reproduces the input bytes exactly.
+// [0, n) exactly. The numeric partition is not stored — it derives
+// deterministically on load — so writing a freshly read index
+// reproduces the input bytes exactly.
 
 // WriteSection serializes the index.
 func (ix *Index) WriteSection(w io.Writer) error {
@@ -460,29 +442,18 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 	if int64(numValues) > int64(numKeyed) {
 		return nil, fmt.Errorf("vindex: %d distinct values but %d keyed nodes", numValues, numKeyed)
 	}
-	strs := make([]string, 0, numValues)
-	buf := make([]byte, MaxKeyLen)
-	for i := uint32(0); i < numValues; i++ {
-		var l uint32
-		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-			return nil, fmt.Errorf("vindex: read value length: %w", err)
-		}
-		if l > MaxKeyLen {
-			return nil, fmt.Errorf("vindex: value %d has length %d > %d", i, l, MaxKeyLen)
-		}
-		if _, err := io.ReadFull(r, buf[:l]); err != nil {
-			return nil, fmt.Errorf("vindex: read value %d: %w", i, err)
-		}
-		s := string(buf[:l])
-		if i > 0 && s <= strs[i-1] {
+	strs, err := binio.ReadStrings(r, int(numValues), MaxKeyLen)
+	if err != nil {
+		return nil, fmt.Errorf("vindex: read values: %w", err)
+	}
+	for i := 1; i < len(strs); i++ {
+		if strs[i] <= strs[i-1] {
 			return nil, fmt.Errorf("vindex: values not strictly ascending at %d", i)
 		}
-		strs = append(strs, s)
 	}
 	strOff := []uint32{0}
 	if numValues > 0 {
-		var err error
-		if strOff, err = readUint32Chunked(r, int(numValues)+1); err != nil {
+		if strOff, err = binio.ReadInts[uint32](r, int(numValues)+1); err != nil {
 			return nil, fmt.Errorf("vindex: read offsets: %w", err)
 		}
 		if strOff[0] != 0 || strOff[numValues] != numKeyed {
@@ -497,11 +468,11 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 	} else if numKeyed > 0 {
 		return nil, fmt.Errorf("vindex: %d keyed nodes but no values", numKeyed)
 	}
-	strPre, err := readInt32Chunked(r, int(numKeyed))
+	strPre, err := binio.ReadInts[int32](r, int(numKeyed))
 	if err != nil {
 		return nil, fmt.Errorf("vindex: read node lists: %w", err)
 	}
-	overflow, err := readInt32Chunked(r, int(numOverflow))
+	overflow, err := binio.ReadInts[int32](r, int(numOverflow))
 	if err != nil {
 		return nil, fmt.Errorf("vindex: read overflow list: %w", err)
 	}
@@ -538,38 +509,4 @@ func ReadSection(r io.Reader, n int) (*Index, error) {
 		}
 	}
 	return newIndex(strs, strOff, strPre, overflow, n), nil
-}
-
-// readInt32Chunked reads n little-endian int32s in bounded chunks so a
-// forged length on a truncated stream errors out after one chunk's
-// allocation.
-func readInt32Chunked(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 20
-	col := make([]int32, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		part := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
-}
-
-// readUint32Chunked is readInt32Chunked for uint32 columns.
-func readUint32Chunked(r io.Reader, n int) ([]uint32, error) {
-	const chunk = 1 << 20
-	col := make([]uint32, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		part := make([]uint32, c)
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		col = append(col, part...)
-		remaining -= c
-	}
-	return col, nil
 }

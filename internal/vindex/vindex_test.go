@@ -3,7 +3,9 @@ package vindex
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,17 +20,28 @@ func buildFrom(vals []string) *Index {
 	return b.Build(len(vals))
 }
 
-// compareValue is the test oracle's comparison: the same semantics
-// xpath.CompareValue implements on top of ParseNumber (the engine's
-// differential suite pins the two stacks against each other end to
-// end).
+// parseFloat is the oracle's numeric semantics, written against
+// strconv directly so the tests do not share ParseNumber's early
+// rejects: a finite float after trimming surrounding whitespace.
+func parseFloat(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, false
+	}
+	return f, true
+}
+
+// compareValue is the test oracle's comparison: the semantics
+// xpath.CompareValue implements, with numbers parsed by parseFloat
+// (the engine's differential suite pins the two stacks against each
+// other end to end).
 func compareValue(s string, op Op, lit string, numeric bool) bool {
 	if numeric {
-		v, ok := ParseNumber(s)
+		v, ok := parseFloat(s)
 		if !ok {
 			return false
 		}
-		w, ok := ParseNumber(lit)
+		w, ok := parseFloat(lit)
 		if !ok {
 			return false
 		}
@@ -76,7 +89,7 @@ func oracle(vals []string, op Op, lit string, numeric bool) []int32 {
 func indexedLookup(ix *Index, vals []string, op Op, lit string, numeric bool) []int32 {
 	var out []int32
 	if numeric {
-		if f, ok := ParseNumber(lit); ok {
+		if f, ok := parseFloat(lit); ok {
 			out = ix.LookupNumeric(op, f)
 		}
 	} else {
@@ -129,11 +142,26 @@ func TestParseNumber(t *testing.T) {
 		{"abc", 0, false},
 		{"NaN", 0, false},
 		{"Inf", 0, false},
+		// The early rejects must keep strconv's exact semantics.
+		{"0x1p4", 16, true},
+		{"+5", 5, true},
+		{".5", 0.5, true},
+		{"-.5e1", -5, true},
+		{"1_000", 1000, true}, // Go float syntax allows digit separators
+		{"+Inf", 0, false},
+		{"infinity", 0, false},
+		{"-nan", 0, false},
+		{"1e400", 0, false},
+		{"\u00a07\u00a0", 7, true},
+		{"\u0663", 0, false},
 	}
 	for _, c := range cases {
 		f, ok := ParseNumber(c.in)
 		if ok != c.ok || (ok && f != c.f) {
 			t.Errorf("ParseNumber(%q) = %v, %v; want %v, %v", c.in, f, ok, c.f, c.ok)
+		}
+		if g, gok := parseFloat(c.in); gok != ok || g != f {
+			t.Errorf("ParseNumber(%q) = %v, %v; strconv says %v, %v", c.in, f, ok, g, gok)
 		}
 	}
 }
@@ -186,7 +214,9 @@ func TestContainsSubstr(t *testing.T) {
 func TestLookupRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	words := []string{"", "a", "ab", "b", "10", "9", "100", "100.0", " 7 ", "-3.25",
-		"caesar", "brutus", strings.Repeat("long", 70)}
+		"caesar", "brutus", strings.Repeat("long", 70),
+		"0x1p4", "16", "+5", ".5", "-.5e1", "1_000", "+Inf", "infinity",
+		"\u00a07\u00a0", "\u0663"}
 	for round := 0; round < 20; round++ {
 		n := 1 + rng.Intn(200)
 		vals := make([]string, n)
@@ -335,5 +365,18 @@ func TestDerivedNumericPartition(t *testing.T) {
 	want := []string{"2:[3]", "10:[0 1 2 5]"}
 	if len(groups) != len(want) || groups[0] != want[0] || groups[1] != want[1] {
 		t.Fatalf("numeric groups %v, want %v", groups, want)
+	}
+}
+
+func TestBytesCountsArrays(t *testing.T) {
+	ix := buildFrom([]string{"b", "10", "a", "10.0", "b", strings.Repeat("z", MaxKeyLen+1)})
+	// Keyed strings "10", "10.0", "a", "b" (16-byte header each);
+	// both numerals parse to one number, 10.
+	want := int64(4*16+2+4+1+1) + // strings
+		4*(5+2) + // offsets: strOff, numOff
+		4*(5+2+1) + // node lists: strPre, numPre, overflow
+		8*1 // nums
+	if got := ix.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
 }
