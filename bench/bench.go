@@ -23,7 +23,6 @@ import (
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/frag"
 	"staircase/internal/index"
 	"staircase/internal/xmark"
 )
@@ -33,6 +32,47 @@ const (
 	Q1 = "/descendant::profile/descendant::education"
 	Q2 = "/descendant::increase/ancestor::bidder"
 )
+
+// BaselineSteps spells Q1 and Q2 as (axis, tag) steps from the
+// document root — the form the tree-unaware comparators of
+// internal/baseline evaluate: one region query per location step, with
+// the name test applied early (the DB2 plan of Experiment 3 scans the
+// concatenated (tag, pre, post) index).
+var BaselineSteps = map[string][]baseline.SQLStep{
+	Q1: {{Axis: axis.Descendant, Tag: "profile"}, {Axis: axis.Descendant, Tag: "education"}},
+	Q2: {{Axis: axis.Descendant, Tag: "increase"}, {Axis: axis.Ancestor, Tag: "bidder"}},
+}
+
+// SQLPlan evaluates Q1 or Q2 with the tree-unaware SQL plan of
+// Figure 3: a B-tree indexed nested-loop semijoin per step, with
+// sort + unique over its output. opts.UseWindow adds the §2.1
+// Equation (1) window predicate.
+func SQLPlan(e *baseline.SQLEngine, d *doc.Document, query string, opts baseline.SQLOptions) ([]int32, error) {
+	steps, ok := BaselineSteps[query]
+	if !ok {
+		return nil, fmt.Errorf("bench: no baseline steps for %q", query)
+	}
+	return e.Path([]int32{d.Root()}, steps, opts)
+}
+
+// TagPath evaluates an (axis, tag) path from the document root with
+// staircase joins over the document's tag fragments (d.TagIndex) — the
+// §6 fragmentation-by-tag-name strategy.
+func TagPath(d *doc.Document, steps []baseline.SQLStep) ([]int32, error) {
+	cur := []int32{d.Root()}
+	for _, s := range steps {
+		id, ok := d.Names().Lookup(s.Tag)
+		if !ok {
+			return nil, nil
+		}
+		var err error
+		cur, err = core.JoinNodeList(d, s.Axis, d.TagIndex().Tag(id), cur, nil)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cur, nil
+}
 
 // DefaultSizes is the default document sweep, in megabyte equivalents
 // (the paper: 1.1, 11.0, 111.0, 1111.0).
@@ -302,8 +342,11 @@ func Fig11a(c *Corpus, sizes []float64) Table {
 		d := c.Doc(mb)
 		cx := getContexts(d)
 		var nst baseline.NaiveStats
-		baseline.NaiveJoin(d, axis.Ancestor, cx.increases, &nst)
+		naive := baseline.NaiveJoin(d, axis.Ancestor, cx.increases, &nst)
 		scj := core.AncestorJoin(d, cx.increases, nil)
+		if len(naive) != len(scj) {
+			panic(fmt.Sprintf("bench: fig11a result mismatch: naive %d vs staircase %d", len(naive), len(scj)))
+		}
 		ratio := 0.0
 		if nst.Produced > 0 {
 			ratio = float64(nst.Duplicates) / float64(nst.Produced)
@@ -417,11 +460,13 @@ func figEF(c *Corpus, sizes []float64, id, query string) Table {
 		Header: []string{"size[MB]", "result", "scj[ms]", "scj-early-nametest[ms]", "sql[ms]", "pushdown-speedup"},
 		Notes: []string{
 			"paper: early name test ≈3x faster; tree-unaware SQL plan slowest",
+			"sql = internal/baseline's Figure 3 plan (B-tree semijoin per step, early name test); index build excluded",
 		},
 	}
 	for _, mb := range sizes {
 		d := c.Doc(mb)
 		e := engine.New(d)
+		sqlEng := baseline.NewSQLEngine(d)
 		run := func(opts *engine.Options) (time.Duration, int) {
 			var n int
 			dur := timeIt(3, func() {
@@ -435,7 +480,14 @@ func figEF(c *Corpus, sizes []float64, id, query string) Table {
 		}
 		scj, n1 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever, Parallelism: Parallelism})
 		early, n2 := run(&engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways, Parallelism: Parallelism})
-		sql, n3 := run(&engine.Options{Strategy: engine.SQL})
+		var n3 int
+		sql := timeIt(3, func() {
+			r, err := SQLPlan(sqlEng, d, query, baseline.SQLOptions{})
+			if err != nil {
+				panic(err)
+			}
+			n3 = len(r)
+		})
 		if n1 != n2 || n1 != n3 {
 			panic(fmt.Sprintf("bench: %s result mismatch: %d/%d/%d", id, n1, n2, n3))
 		}
@@ -510,14 +562,10 @@ func Fragmentation(c *Corpus, sizes []float64) Table {
 			}
 			n1 = len(r.Nodes)
 		})
-		store := frag.NewStore(d)
-		steps := []frag.PathStep{
-			{Axis: axis.Descendant, Tag: "profile"},
-			{Axis: axis.Descendant, Tag: "education"},
-		}
+		d.TagIndex() // build the fragments outside the timed loop
 		var n2 int
 		fragged := timeIt(3, func() {
-			r, err := store.Path(steps, nil)
+			r, err := TagPath(d, BaselineSteps[Q1])
 			if err != nil {
 				panic(err)
 			}

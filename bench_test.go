@@ -20,7 +20,6 @@ import (
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/frag"
 	"staircase/internal/index"
 )
 
@@ -199,9 +198,21 @@ func BenchmarkFig11eQ1EarlyNametest(b *testing.B) {
 	benchEngineQuery(b, bench.Q1, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
 }
 
-func BenchmarkFig11eQ1SQL(b *testing.B) {
-	benchEngineQuery(b, bench.Q1, &engine.Options{Strategy: engine.SQL})
+// benchSQLPlan times the tree-unaware SQL plan of Figure 3 on a paper
+// query, composed from internal/baseline steps (index build excluded).
+func benchSQLPlan(b *testing.B, query string) {
+	forSizes(b, func(b *testing.B, c benchCtx) {
+		sqlEng := baseline.NewSQLEngine(c.d)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bench.SQLPlan(sqlEng, c.d, query, baseline.SQLOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
+
+func BenchmarkFig11eQ1SQL(b *testing.B) { benchSQLPlan(b, bench.Q1) }
 
 func BenchmarkFig11fQ2Staircase(b *testing.B) {
 	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushNever})
@@ -211,9 +222,7 @@ func BenchmarkFig11fQ2EarlyNametest(b *testing.B) {
 	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.Staircase, Pushdown: engine.PushAlways})
 }
 
-func BenchmarkFig11fQ2SQL(b *testing.B) {
-	benchEngineQuery(b, bench.Q2, &engine.Options{Strategy: engine.SQL})
-}
+func BenchmarkFig11fQ2SQL(b *testing.B) { benchSQLPlan(b, bench.Q2) }
 
 // --- §2.1: Equation (1) window on the SQL plan -------------------------------
 
@@ -238,14 +247,10 @@ func BenchmarkSQLWindowOn(b *testing.B)  { benchSQLWindow(b, true) }
 
 func BenchmarkFragmentationQ1(b *testing.B) {
 	forSizes(b, func(b *testing.B, c benchCtx) {
-		store := frag.NewStore(c.d)
-		steps := []frag.PathStep{
-			{Axis: axis.Descendant, Tag: "profile"},
-			{Axis: axis.Descendant, Tag: "education"},
-		}
+		c.d.TagIndex() // build the fragments outside the timed loop
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Path(steps, nil); err != nil {
+			if _, err := bench.TagPath(c.d, bench.BaselineSteps[bench.Q1]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,12 +1,12 @@
 // Command xpathq loads an XML document into the XPath accelerator
 // encoding and evaluates XPath queries against it with a selectable
-// axis-step strategy — a tiny interactive face for the public
+// staircase join variant — a tiny interactive face for the public
 // staircase package.
 //
 // Usage:
 //
 //	xpathq -f doc.xml '//person[profile/education]/name'
-//	xpathq -f doc.xml -strategy sql -stats '/descendant::increase/ancestor::bidder'
+//	xpathq -f doc.xml -strategy staircase-noskip -stats '/descendant::increase/ancestor::bidder'
 //	xpathq -f doc.xml -parallel -1 -stats '/descendant::open_auction/descendant::bidder'
 //	xpathq -f doc.xml -explain '//bidder[descendant::increase]'
 //	xpathq -f doc.xml -explain -json '//bidder'
@@ -26,14 +26,11 @@ import (
 	"staircase"
 )
 
-// strategies maps flag values to engine strategies.
+// strategies maps flag values to staircase join variants.
 var strategies = map[string]staircase.Strategy{
 	"staircase":        staircase.Staircase,
 	"staircase-skip":   staircase.StaircaseSkip,
 	"staircase-noskip": staircase.StaircaseNoSkip,
-	"naive":            staircase.NaiveStrategy,
-	"sql":              staircase.SQLStrategy,
-	"sql-window":       staircase.SQLWindowStrategy,
 }
 
 var pushdowns = map[string]staircase.PushdownMode{
@@ -44,7 +41,7 @@ var pushdowns = map[string]staircase.PushdownMode{
 
 func main() {
 	file := flag.String("f", "", "XML or SCJ binary file (default: stdin; format sniffed)")
-	strategy := flag.String("strategy", "staircase", "axis-step strategy: staircase, staircase-skip, staircase-noskip, naive, sql, sql-window")
+	strategy := flag.String("strategy", "staircase", "staircase join variant: staircase, staircase-skip, staircase-noskip")
 	pushdown := flag.String("pushdown", "auto", "name-test pushdown: auto, always, never")
 	stats := flag.Bool("stats", false, "print per-step statistics")
 	explain := flag.Bool("explain", false, "print the optimized physical plan instead of results")
@@ -160,10 +157,6 @@ func main() {
 				if s.Core.Workers > 1 {
 					fmt.Printf("          parallel: %d workers\n", s.Core.Workers)
 				}
-			}
-			if s.Naive.Produced > 0 {
-				fmt.Printf("          naive: produced %d, duplicates %d\n",
-					s.Naive.Produced, s.Naive.Duplicates)
 			}
 		}
 	}

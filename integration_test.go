@@ -1,6 +1,7 @@
 // End-to-end integration tests: generator -> shredder/binary store ->
 // engine strategies -> extensions, exercised together the way the
-// paper's evaluation pipeline uses them.
+// paper's evaluation pipeline uses them. The tree-unaware comparators
+// are checked against the engine in bench (TestBaselinePlansMatchEngine).
 package staircase_test
 
 import (
@@ -12,17 +13,15 @@ import (
 	"testing"
 
 	"staircase/bench"
-	"staircase/internal/axis"
 	"staircase/internal/catalog"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/engine"
-	"staircase/internal/frag"
 	"staircase/internal/xmark"
 )
 
-// integrationQueries is the differential battery: every strategy and
-// pushdown mode must agree on every query.
+// integrationQueries is the differential battery: every staircase join
+// variant and pushdown mode must agree on every query.
 var integrationQueries = []string{
 	bench.Q1,
 	bench.Q2,
@@ -44,10 +43,7 @@ func TestIntegrationAllStrategiesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(d)
-	strategies := []engine.Strategy{
-		engine.Staircase, engine.StaircaseSkip, engine.StaircaseNoSkip,
-		engine.Naive, engine.SQL, engine.SQLWindow,
-	}
+	strategies := []engine.Strategy{engine.Staircase, engine.StaircaseSkip, engine.StaircaseNoSkip}
 	for _, q := range integrationQueries {
 		var want []int32
 		for _, s := range strategies {
@@ -149,7 +145,7 @@ func TestIntegrationConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i, q := range integrationQueries {
 				opts := &engine.Options{
-					Strategy: []engine.Strategy{engine.Staircase, engine.SQL}[(w+i)%2],
+					Strategy: []engine.Strategy{engine.Staircase, engine.StaircaseNoSkip}[(w+i)%2],
 				}
 				r, err := e.EvalString(q, opts)
 				if err != nil {
@@ -176,16 +172,12 @@ func TestIntegrationFragmentsAndParallelAgreeWithEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(d)
-	store := frag.NewStore(d)
 
 	want, err := e.EvalString(bench.Q2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := store.Path([]frag.PathStep{
-		{Axis: axis.Descendant, Tag: "increase"},
-		{Axis: axis.Ancestor, Tag: "bidder"},
-	}, nil)
+	got, err := bench.TagPath(d, bench.BaselineSteps[bench.Q2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +191,7 @@ func TestIntegrationFragmentsAndParallelAgreeWithEngine(t *testing.T) {
 	}
 	seq := core.AncestorJoin(d, inc.Nodes, nil)
 	for _, workers := range []int{1, 3, 7} {
-		par := frag.ParallelAncestorJoin(d, inc.Nodes, workers, nil)
+		par := core.ParallelAncestorJoin(d, inc.Nodes, workers, nil)
 		if len(par) != len(seq) {
 			t.Fatalf("parallel(%d): %d vs %d", workers, len(par), len(seq))
 		}

@@ -46,9 +46,6 @@ func (c *Compiled) Logical() *plan.Logical { return c.logical }
 // EvalCompiled evaluates a compiled query with the document root as the
 // initial context, exactly as EvalString would for the same text.
 func (e *Engine) EvalCompiled(c *Compiled, opts *Options) (*Result, error) {
-	if opts != nil && opts.LegacyEval {
-		return e.EvalQuery(c.q, []int32{e.d.Root()}, opts)
-	}
 	p, err := e.Prepare(c, opts)
 	if err != nil {
 		return nil, err
@@ -72,7 +69,7 @@ func (e *Engine) Prepare(c *Compiled, opts *Options) (*Prepared, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	pl, err := plan.Compile(e.env, c.logical, planOptions(opts))
+	pl, err := plan.Compile(e.d, c.logical, planOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +91,10 @@ func (p *Prepared) Plan() *plan.Plan { return p.pl }
 // Canon returns the canonical optimized-plan string — the result-cache
 // key under which equivalent queries collide (see plan.Plan.Canon).
 func (p *Prepared) Canon() string { return p.pl.Canon() }
+
+// Reorders returns the number of greedy ordering decisions that changed
+// this plan (see plan.Plan.Reorders).
+func (p *Prepared) Reorders() int { return p.pl.Reorders() }
 
 // Rewrites lists the rewrite rules applied to this plan.
 func (p *Prepared) Rewrites() []string { return p.pl.Rewrites() }

@@ -11,8 +11,8 @@ import (
 	"staircase/internal/xpath"
 )
 
-// allStrategies is the engine comparison matrix.
-var allStrategies = []Strategy{Staircase, StaircaseSkip, StaircaseNoSkip, Naive, SQL, SQLWindow}
+// allStrategies is the engine's staircase join variant matrix.
+var allStrategies = []Strategy{Staircase, StaircaseSkip, StaircaseNoSkip}
 
 func shred(t testing.TB, s string) *doc.Document {
 	t.Helper()
@@ -21,6 +21,34 @@ func shred(t testing.TB, s string) *doc.Document {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// specQuery is the reference evaluator of a whole query: every union
+// branch evaluated by specEval, merged into one document-ordered,
+// duplicate-free sequence ('|' semantics). It is the oracle of the
+// differential property suites (plan_equiv_test.go,
+// value_equiv_test.go): O(|context|·n) per step and sharing no kernel
+// with the planner.
+func specQuery(d *doc.Document, q xpath.Query, context []int32) []int32 {
+	if len(q.Paths) == 1 {
+		return specEval(d, q.Paths[0], context)
+	}
+	var all []int32
+	for _, p := range q.Paths {
+		all = append(all, specEval(d, p, context)...)
+	}
+	return dedupSorted(all)
+}
+
+// specString parses a query and evaluates it with specQuery from the
+// document root, as Engine.EvalString does.
+func specString(t testing.TB, d *doc.Document, query string) []int32 {
+	t.Helper()
+	q, err := xpath.ParseQuery(query)
+	if err != nil {
+		t.Fatalf("parse %s: %v", query, err)
+	}
+	return specQuery(d, q, []int32{d.Root()})
 }
 
 // specEval is a brute-force reference evaluator: axis.In over all node
@@ -404,7 +432,7 @@ func TestEngineRelativeEval(t *testing.T) {
 	if len(people.Nodes) != 3 {
 		t.Fatalf("persons = %d", len(people.Nodes))
 	}
-	names, err := e.Eval(xpath.MustParse("name"), people.Nodes, nil)
+	names, err := evalContext(e, "name", people.Nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +499,15 @@ func TestEngineUnionQueries(t *testing.T) {
 			t.Fatalf("%s:\n got %v\nwant %v", tc.union, got.Nodes, want)
 		}
 	}
+}
+
+// evalContext evaluates a relative query from an explicit context.
+func evalContext(e *Engine, query string, context []int32, opts *Options) (*Result, error) {
+	p, err := e.PrepareString(query, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunContext(context)
 }
 
 func dedupSorted(nodes []int32) []int32 {

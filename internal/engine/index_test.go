@@ -45,9 +45,9 @@ func TestQuickIndexPushdownEqualsScanThenFilter(t *testing.T) {
 		strat := variants[variantPick%3]
 		test := tests[testPick%uint8(len(tests))]
 		e := New(d)
-		path := xpath.Path{Steps: []xpath.Step{{Axis: a, Test: test}}}
+		path := xpath.Path{Steps: []xpath.Step{{Axis: a, Test: test}}}.String()
 
-		want, err := e.Eval(path, context, &Options{Strategy: strat, Pushdown: PushNever})
+		want, err := evalContext(e, path, context, &Options{Strategy: strat, Pushdown: PushNever})
 		if err != nil {
 			return false
 		}
@@ -57,7 +57,7 @@ func TestQuickIndexPushdownEqualsScanThenFilter(t *testing.T) {
 			{Strategy: strat, Pushdown: PushAuto},
 			{Strategy: strat, Pushdown: PushAuto, NoIndex: true},
 		} {
-			got, err := e.Eval(path, context, opts)
+			got, err := evalContext(e, path, context, opts)
 			if err != nil || !eq32(got.Nodes, want.Nodes) {
 				return false
 			}

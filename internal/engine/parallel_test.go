@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"staircase/internal/axis"
 	"staircase/internal/xmark"
 )
 
@@ -146,32 +145,6 @@ func TestEmptyContextAncestorStep(t *testing.T) {
 		}
 		if _, err := e.Explain(q, nil); err != nil {
 			t.Fatalf("explain %s: %v", q, err)
-		}
-	}
-}
-
-// TestParallelPushdownCostInteraction: parallelism divides the
-// full-join bound, so a borderline fragment that wins serially can
-// lose once the join fans out. We only check consistency: the auto
-// decision with workers w equals costPushdown with that w.
-func TestParallelPushdownCostInteraction(t *testing.T) {
-	d, err := xmark.Generate(xmark.Config{SizeMB: 0.3, Seed: 9, KeepValues: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(d)
-	root := []int32{d.Root()}
-	bound := e.estimateJoinTouches(axis.Descendant, root)
-	id, ok := d.Names().Lookup("education")
-	if !ok {
-		t.Fatal("no education tag")
-	}
-	frag := int64(d.TagIndex().TagCount(id))
-	for _, w := range []int{1, 2, 8, 64} {
-		want := costPushdown(frag, bound, w)
-		got := shouldPush(frag, bound, PushAuto, w)
-		if got != want {
-			t.Fatalf("workers=%d: shouldPush=%v costPushdown=%v", w, got, want)
 		}
 	}
 }

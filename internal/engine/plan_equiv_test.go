@@ -5,9 +5,11 @@ package engine
 // axis, the node-test kinds, predicate forms (existential, compare,
 // positional, not/and/or) and the NoIndex / Parallelism knobs — the
 // plan pipeline (build → rewrite → compile → execute) must produce
-// exactly the node sequence of the pre-plan step interpreter
-// (Options.LegacyEval). Run under -race in CI, this also exercises
-// concurrent plan execution over one shared engine.
+// exactly the node sequence of the brute-force reference evaluator
+// (specQuery in engine_test.go), which decides every axis step with
+// axis.In over all node pairs and shares no kernel with the planner.
+// Run under -race in CI, this also exercises concurrent plan execution
+// over one shared engine.
 
 import (
 	"context"
@@ -48,7 +50,7 @@ func drainPrepared(p *Prepared) ([]int32, error) {
 	}
 }
 
-// checkStreaming pins the cursor executor to the legacy result: a full
+// checkStreaming pins the cursor executor to the reference result: a full
 // drain must be byte-identical, and EvalLimit(k) must return exactly
 // the k-prefix with a consistent Truncated report.
 func checkStreaming(t *testing.T, e *Engine, q string, opts *Options, want []int32) {
@@ -64,7 +66,7 @@ func checkStreaming(t *testing.T, e *Engine, q string, opts *Options, want []int
 		return
 	}
 	if !eq32(got, want) {
-		t.Errorf("cursor drain != legacy for %s under %+v:\n got %v\nwant %v", q, *opts, got, want)
+		t.Errorf("cursor drain != spec for %s under %+v:\n got %v\nwant %v", q, *opts, got, want)
 		return
 	}
 	// A deterministic pseudo-random limit in [1, len(want)+2].
@@ -79,7 +81,7 @@ func checkStreaming(t *testing.T, e *Engine, q string, opts *Options, want []int
 		wantPrefix = want[:lim]
 	}
 	if !eq32(lr.Nodes, wantPrefix) {
-		t.Errorf("EvalLimit(%d) != legacy prefix for %s under %+v:\n got %v\nwant %v",
+		t.Errorf("EvalLimit(%d) != spec prefix for %s under %+v:\n got %v\nwant %v",
 			lim, q, *opts, lr.Nodes, wantPrefix)
 		return
 	}
@@ -191,10 +193,10 @@ func randQuery(rng *rand.Rand) string {
 	return q
 }
 
-// TestPlanEquivalentToLegacyEval is the acceptance property: for every
+// TestPlanEquivalentToSpec is the acceptance property: for every
 // generated query and every knob combination, plan-based execution
-// returns byte-identical node sequences to the step interpreter.
-func TestPlanEquivalentToLegacyEval(t *testing.T) {
+// returns byte-identical node sequences to the reference evaluator.
+func TestPlanEquivalentToSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := quickTrials(6)
 	const queriesPerDoc = 60
@@ -202,12 +204,15 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 		d := randomDoc(rng, 200)
 		e := New(d)
 		var queries []string
+		var parsed []xpath.Query
 		for len(queries) < queriesPerDoc {
 			q := randQuery(rng)
-			if _, err := xpath.ParseQuery(q); err != nil {
+			pq, err := xpath.ParseQuery(q)
+			if err != nil {
 				continue // rare: generator emitted something the grammar rejects
 			}
 			queries = append(queries, q)
+			parsed = append(parsed, pq)
 		}
 		knobs := []Options{
 			{},
@@ -225,15 +230,11 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 			{NoReorder: true, MorselWorkers: 3},
 		}
 		var wg sync.WaitGroup
-		for _, q := range queries {
+		for i, q := range queries {
 			wg.Add(1)
-			go func(q string) {
+			go func(q string, pq xpath.Query) {
 				defer wg.Done()
-				legacy, err := e.EvalString(q, &Options{LegacyEval: true})
-				if err != nil {
-					t.Errorf("legacy %s: %v", q, err)
-					return
-				}
+				want := specQuery(d, pq, []int32{d.Root()})
 				for _, k := range knobs {
 					k := k
 					got, err := e.EvalString(q, &k)
@@ -241,14 +242,14 @@ func TestPlanEquivalentToLegacyEval(t *testing.T) {
 						t.Errorf("plan %s %+v: %v", q, k, err)
 						return
 					}
-					if !eq32(got.Nodes, legacy.Nodes) {
-						t.Errorf("plan != legacy for %s under %+v:\n got %v\nwant %v",
-							q, k, got.Nodes, legacy.Nodes)
+					if !eq32(got.Nodes, want) {
+						t.Errorf("plan != spec for %s under %+v:\n got %v\nwant %v",
+							q, k, got.Nodes, want)
 						return
 					}
-					checkStreaming(t, e, q, &k, legacy.Nodes)
+					checkStreaming(t, e, q, &k, want)
 				}
-			}(q)
+			}(q, parsed[i])
 		}
 		wg.Wait()
 		if t.Failed() {
@@ -291,8 +292,8 @@ func randFilterQuery(rng *rand.Rand) string {
 
 // TestReorderEquivalence is the ordering pass's differential property:
 // for randomly generated multi-predicate queries, greedy-ordered
-// evaluation, source-order evaluation (NoReorder) and the legacy step
-// interpreter return byte-identical node sequences; the streaming
+// evaluation, source-order evaluation (NoReorder) and the reference
+// evaluator return byte-identical node sequences; the streaming
 // chain cursor (with mid-flight re-planning armed) matches too; and
 // ordering never changes the canonical plan string (the result-cache
 // key).
@@ -304,30 +305,29 @@ func TestReorderEquivalence(t *testing.T) {
 		d := randomDoc(rng, 250)
 		e := New(d)
 		var queries []string
+		var parsed []xpath.Query
 		for len(queries) < queriesPerDoc {
 			q := randFilterQuery(rng)
-			if _, err := xpath.ParseQuery(q); err != nil {
+			pq, err := xpath.ParseQuery(q)
+			if err != nil {
 				continue
 			}
 			queries = append(queries, q)
+			parsed = append(parsed, pq)
 		}
 		var wg sync.WaitGroup
-		for _, q := range queries {
+		for i, q := range queries {
 			wg.Add(1)
-			go func(q string) {
+			go func(q string, pq xpath.Query) {
 				defer wg.Done()
-				legacy, err := e.EvalString(q, &Options{LegacyEval: true})
-				if err != nil {
-					t.Errorf("legacy %s: %v", q, err)
-					return
-				}
+				want := specQuery(d, pq, []int32{d.Root()})
 				ordered, err := e.EvalString(q, &Options{})
 				if err != nil {
 					t.Errorf("ordered %s: %v", q, err)
 					return
 				}
-				if !eq32(ordered.Nodes, legacy.Nodes) {
-					t.Errorf("ordered != legacy for %s:\n got %v\nwant %v", q, ordered.Nodes, legacy.Nodes)
+				if !eq32(ordered.Nodes, want) {
+					t.Errorf("ordered != spec for %s:\n got %v\nwant %v", q, ordered.Nodes, want)
 					return
 				}
 				plain, err := e.EvalString(q, &Options{NoReorder: true})
@@ -335,11 +335,11 @@ func TestReorderEquivalence(t *testing.T) {
 					t.Errorf("no-reorder %s: %v", q, err)
 					return
 				}
-				if !eq32(plain.Nodes, legacy.Nodes) {
-					t.Errorf("no-reorder != legacy for %s:\n got %v\nwant %v", q, plain.Nodes, legacy.Nodes)
+				if !eq32(plain.Nodes, want) {
+					t.Errorf("no-reorder != spec for %s:\n got %v\nwant %v", q, plain.Nodes, want)
 					return
 				}
-				checkStreaming(t, e, q, &Options{}, legacy.Nodes)
+				checkStreaming(t, e, q, &Options{}, want)
 				po, err := e.PrepareString(q, &Options{})
 				if err != nil {
 					t.Errorf("prepare %s: %v", q, err)
@@ -354,7 +354,7 @@ func TestReorderEquivalence(t *testing.T) {
 					t.Errorf("canon changed by ordering for %s:\n ordered %s\n   plain %s",
 						q, po.Canon(), pp.Canon())
 				}
-			}(q)
+			}(q, parsed[i])
 		}
 		wg.Wait()
 		if t.Failed() {
@@ -364,31 +364,26 @@ func TestReorderEquivalence(t *testing.T) {
 }
 
 // TestPlanEquivalenceOnFixtureMatrix re-runs the curated fixture
-// queries through the full strategy × pushdown matrix, comparing plan
-// and legacy node sequences (the strategies already agree with the
-// spec evaluator; this pins plan == legacy per configuration).
+// queries through the full strategy × pushdown matrix, comparing the
+// batch executor, a cursor drain and EvalLimit prefixes against the
+// reference evaluator per configuration.
 func TestPlanEquivalenceOnFixtureMatrix(t *testing.T) {
 	d := fixture(t)
 	e := New(d)
 	for _, q := range fixtureQueries {
+		want := specString(t, d, q)
 		for _, s := range allStrategies {
 			for _, push := range []Pushdown{PushAuto, PushAlways, PushNever} {
 				opts := Options{Strategy: s, Pushdown: push}
-				legacyOpts := opts
-				legacyOpts.LegacyEval = true
-				legacy, err := e.EvalString(q, &legacyOpts)
-				if err != nil {
-					t.Fatalf("legacy %s: %v", q, err)
-				}
 				got, err := e.EvalString(q, &opts)
 				if err != nil {
 					t.Fatalf("plan %s: %v", q, err)
 				}
-				if !eq32(got.Nodes, legacy.Nodes) {
-					t.Fatalf("plan != legacy for %s [%v/%v]:\n got %v\nwant %v",
-						q, s, push, got.Nodes, legacy.Nodes)
+				if !eq32(got.Nodes, want) {
+					t.Fatalf("plan != spec for %s [%v/%v]:\n got %v\nwant %v",
+						q, s, push, got.Nodes, want)
 				}
-				checkStreaming(t, e, q, &opts, legacy.Nodes)
+				checkStreaming(t, e, q, &opts, want)
 			}
 		}
 	}

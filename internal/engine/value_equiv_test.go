@@ -1,8 +1,8 @@
 // Differential tests for the value index: every value predicate must
-// produce byte-identical results whether it is served from B-tree
+// produce byte-identical results whether it is served from value-index
 // fragments (the value-semijoin rewrite), re-evaluated per node with
-// the index disabled (Options.NoValueIndex), or run through the
-// legacy evaluator. Streaming (cursor drain, EvalLimit prefixes) is
+// the index disabled (Options.NoValueIndex), or decided by the
+// reference evaluator (specQuery). Streaming (cursor drain, EvalLimit prefixes) is
 // checked against batch execution on every knob combination, and the
 // whole suite spawns one goroutine per query so `go test -race`
 // exercises concurrent plan execution against the lazily built index.
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"staircase/internal/doc"
+	"staircase/internal/xpath"
 )
 
 // valueTexts is the pool of text/attribute values for random
@@ -136,10 +137,10 @@ func randValueQuery(rng *rand.Rand) string {
 // TestValuePushdownEquivalence is the differential property suite:
 // random value-rich documents x random value-predicate queries,
 // checking that the index-served plan, the NoValueIndex plan, and the
-// legacy evaluator agree, and that cursors and EvalLimit prefixes
+// reference evaluator agree, and that cursors and EvalLimit prefixes
 // match batch output under every knob combination.
 func TestValuePushdownEquivalence(t *testing.T) {
-	trials := 5
+	trials := quickTrials(5)
 	queriesPer := 40
 	if testing.Short() {
 		trials, queriesPer = 2, 12
@@ -162,11 +163,12 @@ func TestValuePushdownEquivalence(t *testing.T) {
 			wg.Add(1)
 			go func(q string) {
 				defer wg.Done()
-				want, err := e.EvalString(q, &Options{LegacyEval: true})
+				pq, err := xpath.ParseQuery(q)
 				if err != nil {
-					t.Errorf("legacy %s: %v", q, err)
+					t.Errorf("parse %s: %v", q, err)
 					return
 				}
+				want := specQuery(d, pq, []int32{d.Root()})
 				for i := range knobs {
 					opts := knobs[i]
 					got, err := e.EvalString(q, &opts)
@@ -174,11 +176,11 @@ func TestValuePushdownEquivalence(t *testing.T) {
 						t.Errorf("%s %+v: %v", q, opts, err)
 						return
 					}
-					if !eq32(got.Nodes, want.Nodes) {
-						t.Errorf("%s %+v:\n got %v\nwant %v", q, opts, got.Nodes, want.Nodes)
+					if !eq32(got.Nodes, want) {
+						t.Errorf("%s %+v:\n got %v\nwant %v", q, opts, got.Nodes, want)
 						return
 					}
-					checkStreaming(t, e, q, &opts, want.Nodes)
+					checkStreaming(t, e, q, &opts, want)
 				}
 			}(q)
 		}
@@ -197,11 +199,11 @@ func TestValueSemiJoinRewriteFires(t *testing.T) {
 		q      string
 		source string // substring expected in EXPLAIN text
 	}{
-		{"//open_auction[current > 10]", "numeric B-tree"},
-		{"//bidder[increase >= 10]", "numeric B-tree"},
-		{"//person[@id >= 'p2']", "string B-tree"},
+		{"//open_auction[current > 10]", "numeric partition"},
+		{"//bidder[increase >= 10]", "numeric partition"},
+		{"//person[@id >= 'p2']", "string partition"},
 		{"//person[contains(name, 'aro')]", "substring scan"},
-		{"//name[. = 'Alice']", "string B-tree"},
+		{"//name[. = 'Alice']", "string partition"},
 	}
 	for _, tc := range cases {
 		p, err := e.PrepareString(tc.q, nil)

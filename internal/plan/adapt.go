@@ -12,8 +12,9 @@
 // compile-time estimate; when any stage has diverged by replanRatio or
 // more, the stage order for the remaining batches is re-sorted by
 // observed selectivity, cheapest-surviving stage first. Adopted
-// switches increment adaptive_replans_total and surface in EXPLAIN's
-// reorder footer.
+// switches are counted on the execution's Result (or RunCursor) —
+// the query server sums them into adaptive_replans_total — and
+// surface in EXPLAIN's reorder footer.
 
 package plan
 
@@ -61,7 +62,7 @@ func newChainStage(ec *execCtx, o op) *chainStage {
 			s.minSeek = func() int32 { return 0 }
 			return s
 		}
-		pr := newSemiProbe(ec.env.Doc, t.existsAxis, list)
+		pr := newSemiProbe(ec.d, t.existsAxis, list)
 		s.apply = func(v int32) (bool, error) { return pr.admit(v), nil }
 		s.minSeek = func() int32 { return pr.minSeek }
 		s.exhausted = pr.exhaustedAfter
@@ -78,7 +79,7 @@ func newChainStage(ec *execCtx, o op) *chainStage {
 				s.minSeek = func() int32 { return 0 }
 				return s
 			}
-			d := ec.env.Doc
+			d := ec.d
 			pa := t.pa
 			spanHi := list[len(list)-1]
 			var min int32
@@ -217,8 +218,8 @@ func (s *chainStage) estSel() float64 {
 // sufficiently observed stage's actual selectivity has diverged from
 // its compile-time estimate by replanRatio or more. The revised order
 // sorts stages by observed selectivity (stable: ties keep the current
-// order); an adopted switch counts toward adaptive_replans_total and
-// is noted for EXPLAIN.
+// order); an adopted switch is noted on the execution for Replans and
+// EXPLAIN.
 func (c *chainCursor) maybeReplan() {
 	if c.done || len(c.stages) < 2 {
 		return
@@ -253,7 +254,6 @@ func (c *chainCursor) maybeReplan() {
 		return
 	}
 	c.stages = ns
-	adaptiveReplansTotal.Add(1)
 	var order []string
 	for _, stg := range ns {
 		order = append(order, stg.label)

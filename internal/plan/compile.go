@@ -1,31 +1,35 @@
 // Physical compilation: lower a rewritten logical plan onto the
-// operator set, binding it to one document. Compilation selects the
-// operator family from the strategy, resolves document-node semantics
-// for the first step of absolute paths, attaches fragment scans
-// (IndexScan/ColumnScan) to every join whose node test the tag/kind
-// index can serve, picks the staircase variant, applies the
-// exists-semijoin rewrite where profitable, and annotates every
-// operator with cardinality estimates for EXPLAIN.
+// operator set, binding it to one document. Compilation resolves
+// document-node semantics for the first step of absolute paths,
+// attaches fragment scans (IndexScan/ColumnScan) to every join whose
+// node test the tag/kind index can serve, picks the staircase variant,
+// applies the exists-semijoin rewrite where profitable, and annotates
+// every operator with cardinality estimates for EXPLAIN.
 
 package plan
 
 import (
+	"fmt"
+
 	"staircase/internal/axis"
 	"staircase/internal/doc"
 	"staircase/internal/index"
 	"staircase/internal/xpath"
 )
 
-// Compile binds a rewritten logical plan to a document environment
-// under the given options. The logical plan is not modified and may be
-// shared by concurrent compilations.
-func Compile(env *Env, l *Logical, opts *Options) (*Plan, error) {
+// Compile binds a rewritten logical plan to a document under the given
+// options. The logical plan is not modified and may be shared by
+// concurrent compilations.
+func Compile(d *doc.Document, l *Logical, opts *Options) (*Plan, error) {
 	o := *opts.orDefault()
-	p := &Plan{env: env, opts: o, logical: l}
+	if o.Strategy > StaircaseNoSkip {
+		return nil, fmt.Errorf("plan: unknown strategy %v", o.Strategy)
+	}
+	p := &Plan{d: d, opts: o, logical: l}
 	p.rewrites = append(p.rewrites, l.Rewrites...)
-	c := &compiler{p: p, env: env, opts: &o}
+	c := &compiler{p: p, d: d, opts: &o}
 
-	rootIsElem := env.Doc.KindOf(env.Doc.Root()) != doc.VRoot
+	rootIsElem := d.KindOf(d.Root()) != doc.VRoot
 	var branches []op
 	for pi := range l.Paths {
 		lp := &l.Paths[pi]
@@ -49,16 +53,17 @@ func Compile(env *Env, l *Logical, opts *Options) (*Plan, error) {
 	} else {
 		p.root = c.add(&mergeOp{ins: branches})
 	}
-	if o.Strategy.staircase() && !o.NoReorder {
+	if !o.NoReorder {
 		c.orderPlan()
 	}
+	p.reorders += len(p.orderNotes)
 	return p, nil
 }
 
 // compiler threads the op table and step ordinals through compilation.
 type compiler struct {
 	p    *Plan
-	env  *Env
+	d    *doc.Document
 	opts *Options
 	// cards memoizes fragCard lookups per node test, so repeated tests
 	// across steps (and the ordering pass) probe the index maps once.
@@ -90,12 +95,12 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 	// decide per node regardless of position, so every other step —
 	// document-node steps included — compiles to filters.)
 	if s.positional() {
-		progs, err := compilePredProgs(c.env, c.opts, s.Preds)
+		progs, err := c.predProgs(s.Preds)
 		if err != nil {
 			return nil, 0, err
 		}
 		pf := &posFilterOp{in: in, meta: meta, step: s.step(), docNode: docNode, progs: progs}
-		pf.est = estimates{In: estIn, Out: estimateStep(c.env.Doc, s.Axis, c.fragCard(s.Test), estIn)}
+		pf.est = estimates{In: estIn, Out: estimateStep(c.d, s.Axis, c.fragCard(s.Test), estIn)}
 		c.add(pf)
 		return pf, maxInt64(pf.est.Out/2, 1), nil
 	}
@@ -118,7 +123,7 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 			estOut = maxInt64(estOut/2, 1)
 			continue
 		}
-		prog, err := compilePredProg(c.env, c.opts, pred)
+		prog, err := c.predProg(pred)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -133,10 +138,10 @@ func (c *compiler) compileStep(in op, s *LogicalStep, rootIsElem bool, estIn int
 }
 
 // compileAxis lowers the axis::test part of a step: a StaircaseJoin
-// (or the naive/SQL baseline in its slot) for the partitioning axes
-// and their or-self variants, an AxisStep for everything else.
+// for the partitioning axes and their or-self variants, an AxisStep
+// for everything else.
 func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bool, estIn int64) op {
-	d := c.env.Doc
+	d := c.d
 	base, orSelf := joinAxis(s.Axis)
 	if base != axis.Child && (!docNode || s.Axis == axis.Descendant || s.Axis == axis.DescendantOrSelf) {
 		jo := &joinOp{
@@ -149,7 +154,7 @@ func (c *compiler) compileAxis(in op, s *LogicalStep, meta *stepMeta, docNode bo
 			test:       s.Test,
 			variant:    variantFor(c.opts.Strategy),
 		}
-		if c.opts.Strategy.staircase() && pushable(s.Test) && c.opts.Pushdown != PushNever {
+		if pushable(s.Test) && c.opts.Pushdown != PushNever {
 			jo.frag = c.newFragScan(s.Test)
 		}
 		card := c.fragCard(s.Test)
@@ -241,7 +246,7 @@ func (c *compiler) fragCard(test xpath.NodeTest) int64 {
 // indexList fetches the index-served fragment list of a pushable test
 // (nil when the tag is absent or the test is not pushable).
 func (c *compiler) indexList(test xpath.NodeTest) []int32 {
-	d := c.env.Doc
+	d := c.d
 	switch test.Kind {
 	case xpath.TestName:
 		if id, ok := d.Names().Lookup(test.Name); ok {
@@ -266,7 +271,7 @@ func (c *compiler) testKnownEmpty(test xpath.NodeTest) bool {
 	if test.Kind != xpath.TestName {
 		return false
 	}
-	_, ok := c.env.Doc.Names().Lookup(test.Name)
+	_, ok := c.d.Names().Lookup(test.Name)
 	return !ok
 }
 
@@ -280,7 +285,7 @@ func (c *compiler) testKnownEmpty(test xpath.NodeTest) bool {
 // rewrite replaces |S| per-node path evaluations with one staircase
 // node-list join — the set-at-a-time discipline applied to predicates.
 func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred xpath.Predicate, estIn int64) *semiJoinOp {
-	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute {
+	if owningAxis == axis.Attribute {
 		return nil
 	}
 	ex, ok := pred.(xpath.Exists)
@@ -321,7 +326,7 @@ func (c *compiler) trySemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred
 // at execution time — so the canonical plan string stays stable
 // across Options.NoValueIndex.
 func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis, pred xpath.Predicate, estIn int64) (*valueSemiJoinOp, error) {
-	if !c.opts.Strategy.staircase() || owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
+	if owningAxis == axis.Attribute || c.opts.Pushdown == PushNever {
 		return nil, nil
 	}
 	vs := &valueScan{}
@@ -357,7 +362,7 @@ func (c *compiler) tryValueSemiJoin(in op, meta *stepMeta, owningAxis axis.Axis,
 		return nil, nil
 	}
 	vs.pa, vs.test = step.Axis, step.Test
-	prog, err := compilePredProg(c.env, c.opts, pred)
+	prog, err := c.predProg(pred)
 	if err != nil {
 		return nil, err
 	}

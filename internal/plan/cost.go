@@ -6,9 +6,7 @@
 //   - execution-time bounds computed from the *actual* context
 //     sequence an operator receives (estimateJoinTouches,
 //     costPushdown, parallelWorkersFor). These drive the pushdown and
-//     parallel-fan-out decisions inside StaircaseJoin, exactly as the
-//     step interpreter decided them, so plan-based execution makes
-//     identical choices;
+//     parallel-fan-out decisions inside StaircaseJoin;
 //   - compile-time estimates derived from document statistics and the
 //     tag/kind index's exact per-fragment cardinalities (estimate*).
 //     These annotate the plan for EXPLAIN and would drive plan-level

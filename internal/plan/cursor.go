@@ -166,14 +166,6 @@ func (c *blockingCursor) close() {
 	}
 }
 
-// newRunCursor falls back to the materializing executor for operators
-// (or whole strategies — Naive, SQL) without a streaming
-// implementation: run() evaluates the operator subtree eagerly and
-// the result batches out.
-func newRunCursor(ec *execCtx, o op) cursor {
-	return &blockingCursor{fill: func() ([]int32, error) { return o.run(ec) }}
-}
-
 // drainAll pulls a cursor to exhaustion, materialising its sequence.
 func drainAll(ec *execCtx, c cursor) ([]int32, error) {
 	var out []int32
@@ -194,7 +186,7 @@ func drainAll(ec *execCtx, c cursor) ([]int32, error) {
 func (o *sourceOp) open(ec *execCtx) (cursor, error) {
 	var nodes []int32
 	if o.docRoot {
-		nodes = []int32{ec.env.Doc.Root()}
+		nodes = []int32{ec.d.Root()}
 	} else {
 		nodes = ec.initial
 	}
@@ -239,7 +231,7 @@ func (s *ctxSource) pull() (int32, bool, error) {
 			v := s.buf[s.pos]
 			s.pos++
 			s.pulled++
-			if s.selfOn && nodePassesTest(s.ec.env.Doc, s.a, s.test, v) {
+			if s.selfOn && nodePassesTest(s.ec.d, s.a, s.test, v) {
 				s.pend = append(s.pend, v)
 			}
 			return v, true, nil
@@ -316,14 +308,11 @@ func streamPush(opts *Options, indexed bool) bool {
 }
 
 func (o *joinOp) open(ec *execCtx) (cursor, error) {
-	if !ec.opts.Strategy.staircase() {
-		return newRunCursor(ec, o), nil
-	}
 	in, err := o.in.open(ec)
 	if err != nil {
 		return nil, err
 	}
-	d := ec.env.Doc
+	d := ec.d
 	st := &ec.steps[o.meta.ord-1]
 	ost := &ec.ops[o.id]
 	ost.ran = true
@@ -418,7 +407,7 @@ func (c *joinStreamCursor) next(seek int32) ([]int32, error) {
 				c.kernelDone = true
 			} else {
 				if !c.pushed {
-					b = filterTest(c.ec.env.Doc, c.o.base, c.o.test, b)
+					b = filterTest(c.ec.d, c.o.base, c.o.test, b)
 				}
 				out = b
 			}
@@ -468,9 +457,6 @@ func (c *joinStreamCursor) close() {
 // --- SemiJoin --------------------------------------------------------------
 
 func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
-	if !ec.opts.Strategy.staircase() {
-		return newRunCursor(ec, o), nil
-	}
 	if o.chain != nil {
 		return openChain(ec, o.chain)
 	}
@@ -487,7 +473,7 @@ func (o *semiJoinOp) open(ec *execCtx) (cursor, error) {
 	ost.probeDir = probeInputSeek // streaming is point-probe by nature
 	return &semiJoinCursor{
 		ec: ec, o: o, st: st, ost: ost, in: in,
-		pr: newSemiProbe(ec.env.Doc, o.existsAxis, list),
+		pr: newSemiProbe(ec.d, o.existsAxis, list),
 	}, nil
 }
 
@@ -923,7 +909,7 @@ func mergeDedup(a, b []int32) []int32 {
 // evalOneCapped is evalOne with the [k] early-stop enabled (cursor
 // path only: the materializing executor keeps its exact work counters).
 func (o *posFilterOp) evalOneCapped(ec *execCtx, c int32, st *StepStats) ([]int32, error) {
-	if k := o.firstK(); k > 0 && !o.step.Axis.Reverse() && !o.docNode && ec.opts.Strategy.staircase() {
+	if k := o.firstK(); k > 0 && !o.step.Axis.Reverse() && !o.docNode {
 		nodes, err := ec.axisTestFirstK(o.step.Axis, o.step.Test, c, k, st)
 		if err != nil {
 			return nil, err
@@ -960,7 +946,7 @@ func (ec *execCtx) axisTestFirstK(a axis.Axis, test xpath.NodeTest, c int32, k i
 		}
 		return nodes, nil
 	}
-	d := ec.env.Doc
+	d := ec.d
 	var out []int32
 	if a == axis.DescendantOrSelf && nodePassesTest(d, a, test, c) {
 		out = append(out, c)
@@ -1124,7 +1110,7 @@ func (p *Plan) Cursor(ctx context.Context, initial []int32) (*RunCursor, error) 
 // CursorRoot opens a streaming execution with the document root as
 // initial context.
 func (p *Plan) CursorRoot(ctx context.Context) (*RunCursor, error) {
-	return p.Cursor(ctx, []int32{p.env.Doc.Root()})
+	return p.Cursor(ctx, []int32{p.d.Root()})
 }
 
 // Next returns the next batch of result nodes (strictly increasing
@@ -1158,6 +1144,10 @@ func (c *RunCursor) Seek(pre int32) {
 		c.seek = pre
 	}
 }
+
+// Replans returns the number of mid-flight adaptive re-planning
+// switches adopted so far (final after exhaustion or Close).
+func (c *RunCursor) Replans() int { return len(c.ec.replans) }
 
 // Exhausted reports whether the cursor produced its complete result.
 func (c *RunCursor) Exhausted() bool { return c.exhausted }
@@ -1213,5 +1203,5 @@ func (p *Plan) RunLimit(ctx context.Context, initial []int32, limit int) (*Resul
 
 // RunLimitRoot is RunLimit from the document root.
 func (p *Plan) RunLimitRoot(ctx context.Context, limit int) (*Result, error) {
-	return p.RunLimit(ctx, []int32{p.env.Doc.Root()}, limit)
+	return p.RunLimit(ctx, []int32{p.d.Root()}, limit)
 }

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
+	"staircase/internal/doc"
 	"staircase/internal/xpath"
 )
 
@@ -30,11 +30,9 @@ type StepStats struct {
 	// join; Indexed reports whether the pushed fragment came from the
 	// document's shared tag/kind index (false: name-column scan).
 	Pushed, Indexed bool
-	// Core holds staircase join work counters (staircase strategies,
-	// partitioning axes only).
+	// Core holds staircase join work counters (partitioning axes
+	// only).
 	Core core.Stats
-	// Naive holds naive-strategy counters.
-	Naive baseline.NaiveStats
 	// Duration is the wall-clock time of the step.
 	Duration time.Duration
 }
@@ -90,7 +88,7 @@ func (s *opStat) record(in, out int) {
 
 // execCtx is one execution of a plan.
 type execCtx struct {
-	env     *Env
+	d       *doc.Document
 	opts    *Options
 	initial []int32
 	ops     []opStat
@@ -117,9 +115,9 @@ type execCtx struct {
 // the current join's memoized fragment scan when the tests match.
 func (ec *execCtx) fragList(test xpath.NodeTest) (list []int32, indexed, ok bool) {
 	if f := ec.curFrag; f != nil && f.test == test {
-		return f.resolveWith(ec.env.Doc, ec.opts)
+		return f.resolveWith(ec.d, ec.opts)
 	}
-	return pushdownList(ec.env.Doc, test, ec.opts)
+	return pushdownList(ec.d, test, ec.opts)
 }
 
 // cancelled reports the execution context's error, if any.
@@ -146,11 +144,15 @@ type Result struct {
 	replans []string // adaptive re-plan notes, consumed by EXPLAIN
 }
 
-// Plan is a compiled physical plan, bound to one document (via its
-// Env) and one Options configuration. Plans are immutable after
-// Compile and safe for concurrent Run calls.
+// Replans returns the number of mid-flight adaptive re-planning
+// switches the execution adopted (cursor executor only; see adapt.go).
+func (r *Result) Replans() int { return len(r.replans) }
+
+// Plan is a compiled physical plan, bound to one document and one
+// Options configuration. Plans are immutable after Compile and safe
+// for concurrent Run calls.
 type Plan struct {
-	env      *Env
+	d        *doc.Document
 	opts     Options
 	logical  *Logical
 	root     op
@@ -163,6 +165,9 @@ type Plan struct {
 	// feed EXPLAIN only — ordering is excluded from Canon.
 	orderNotes []string
 	opOrder    map[int]string
+	// reorders counts the ordering decisions of this plan and of its
+	// predicate sub-plans.
+	reorders int
 
 	canonOnce sync.Once
 	canon     string // built on first use (lazily: EvalString paths never need it)
@@ -175,6 +180,11 @@ type Plan struct {
 	queryOnce   sync.Once
 	queryStr    string
 }
+
+// Reorders returns the number of greedy ordering decisions that changed
+// this plan, predicate sub-plans included: reordered filter chains and
+// empty-branch short-circuits (the reorder notes EXPLAIN prints).
+func (p *Plan) Reorders() int { return p.reorders }
 
 // Options returns the configuration the plan was compiled with.
 func (p *Plan) Options() Options { return p.opts }
@@ -233,7 +243,7 @@ func (p *Plan) RunCtx(ctx context.Context, initial []int32) (*Result, error) {
 // materializing and streaming executors.
 func (p *Plan) newExecCtx(ctx context.Context, initial []int32) *execCtx {
 	ec := &execCtx{
-		env:     p.env,
+		d:       p.d,
 		opts:    &p.opts,
 		initial: initial,
 		ops:     make([]opStat, len(p.ops)),
@@ -250,5 +260,5 @@ func (p *Plan) newExecCtx(ctx context.Context, initial []int32) *execCtx {
 // RunRoot executes the plan with the document root as initial context
 // (the conventional whole-document evaluation).
 func (p *Plan) RunRoot() (*Result, error) {
-	return p.Run([]int32{p.env.Doc.Root()})
+	return p.Run([]int32{p.d.Root()})
 }

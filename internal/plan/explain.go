@@ -161,9 +161,7 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 	case *joinOp:
 		n.Step = t.meta.ord
 		n.Detail = p.opDetail(t)
-		if p.opts.Strategy.staircase() {
-			n.Variant = t.variant.String()
-		}
+		n.Variant = t.variant.String()
 		n.DocNode = t.docNode
 		n.EstIn, n.EstOut = t.est.In, t.est.Out
 		if res != nil {
@@ -236,21 +234,13 @@ func (p *Plan) explainNode(o op, res *Result) *ExplainNode {
 	return n
 }
 
-// opName names the physical operator, resolving the strategy aliases
-// of the join slot.
+// opName names the physical operator.
 func opName(o op, opts *Options) string {
-	switch t := o.(type) {
+	switch o.(type) {
 	case *sourceOp:
 		return "Source"
 	case *joinOp:
-		switch opts.Strategy {
-		case Naive:
-			return "NaiveJoin"
-		case SQL, SQLWindow:
-			return "SQLJoin"
-		default:
-			return "StaircaseJoin"
-		}
+		return "StaircaseJoin"
 	case *axisStepOp:
 		return "AxisStep"
 	case *predFilterOp:
@@ -271,7 +261,6 @@ func opName(o op, opts *Options) string {
 		if opts.NoIndex {
 			return "ColumnScan"
 		}
-		_ = t
 		return "IndexScan"
 	default:
 		return fmt.Sprintf("%T", o)
@@ -426,26 +415,6 @@ func (p *Plan) renderJoin(sb *strings.Builder, t *joinOp, res *Result, ost *opSt
 	if t.docNode {
 		label += ", document node"
 	}
-	switch p.opts.Strategy {
-	case Naive:
-		line("NaiveJoin (%s)", label)
-		line("  operator: per-context region queries + sort + unique (tree-unaware)")
-		line("  properties: may generate duplicates; plan appends unique over pre-sorted output")
-		card(t.est)
-		return
-	case SQL:
-		line("SQLJoin (%s)", label)
-		line("  operator: B-tree indexed nested-loop semijoin (Figure 3 plan)")
-		line("  properties: may generate duplicates; plan appends unique over pre-sorted output")
-		card(t.est)
-		return
-	case SQLWindow:
-		line("SQLJoin (%s)", label)
-		line("  operator: B-tree indexed semijoin + Equation(1) window delimiter (§2.1 line 7)")
-		line("  properties: may generate duplicates; plan appends unique over pre-sorted output")
-		card(t.est)
-		return
-	}
 	variant := map[Strategy]string{
 		Staircase:       "estimation-based skipping (Algorithm 4)",
 		StaircaseSkip:   "skipping (Algorithm 3)",
@@ -534,21 +503,19 @@ func (p *Plan) renderParallel(t *joinOp, st *StepStats, ost *opStat, line func(s
 }
 
 // valueSource names where a value fragment comes from in this plan's
-// configuration — the fragment-source line of ValueScan leaves. The
-// labels predate the flat CSR value index and are pinned by the
-// EXPLAIN goldens; "B-tree" names the sorted partition the fragment is
-// copied from.
+// configuration — the fragment-source line of ValueScan leaves: the
+// sorted value-index partition the fragment is copied from.
 func (p *Plan) valueSource(t *valueScan) string {
 	if p.opts.NoValueIndex {
 		return "per-node evaluation (value index disabled)"
 	}
 	switch {
 	case t.contains:
-		return "value index (string B-tree, substring scan)"
+		return "value index (string partition, substring scan)"
 	case t.numeric:
-		return "value index (numeric B-tree)"
+		return "value index (numeric partition)"
 	default:
-		return "value index (string B-tree)"
+		return "value index (string partition)"
 	}
 }
 

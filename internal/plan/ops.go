@@ -16,10 +16,6 @@
 //	PosFilter      a whole step with position-sensitive predicates,
 //	               context node at a time with proximity positions
 //	Merge          the '|' union merge (document order, dedup)
-//
-// The NaiveJoin and SQLJoin strategy baselines reuse the StaircaseJoin
-// operator slot with a different strategy tag, mirroring the paper's
-// comparison matrix.
 
 package plan
 
@@ -30,7 +26,6 @@ import (
 	"time"
 
 	"staircase/internal/axis"
-	"staircase/internal/baseline"
 	"staircase/internal/core"
 	"staircase/internal/doc"
 	"staircase/internal/xpath"
@@ -77,7 +72,7 @@ func (o *sourceOp) kids() []op { return nil }
 func (o *sourceOp) run(ec *execCtx) ([]int32, error) {
 	var out []int32
 	if o.docRoot {
-		out = []int32{ec.env.Doc.Root()}
+		out = []int32{ec.d.Root()}
 	} else {
 		out = ec.initial
 	}
@@ -125,7 +120,7 @@ func (o *fragScan) run(ec *execCtx) ([]int32, error) {
 // shared index, and whether the test is servable at all. The returned
 // slice is shared across executions: callers must not mutate it.
 func (o *fragScan) resolve(ec *execCtx) (list []int32, indexed, ok bool) {
-	return o.resolveWith(ec.env.Doc, ec.opts)
+	return o.resolveWith(ec.d, ec.opts)
 }
 
 // resolveWith is resolve without an execution context (the greedy
@@ -224,8 +219,7 @@ func kindFragment(d *doc.Document, k doc.Kind, opts *Options) (list []int32, ind
 }
 
 // joinOp evaluates one partitioning-axis step (or an or-self variant)
-// with the plan's strategy: the staircase join kernels, the naive
-// region-query baseline, or the SQL B-tree semijoin.
+// with the staircase join kernels.
 type joinOp struct {
 	opBase
 	in   op
@@ -426,7 +420,7 @@ func (o *semiJoinOp) run(ec *execCtx) ([]int32, error) {
 			// fragment, so per-node binary probes (O(n log f)) beat the
 			// node-list join's linear sweep (O(n + f)).
 			ost.probeDir = probeInputSeek
-			pr := newSemiProbe(ec.env.Doc, o.existsAxis, list)
+			pr := newSemiProbe(ec.d, o.existsAxis, list)
 			out = in[:0]
 			for _, v := range in {
 				if pr.admit(v) {
@@ -439,7 +433,7 @@ func (o *semiJoinOp) run(ec *execCtx) ([]int32, error) {
 		} else {
 			ost.probeDir = probeFragSweep
 			co := &core.Options{Variant: o.variant, Stats: &st.Core}
-			out, err = core.JoinNodeList(ec.env.Doc, o.inv, in, list, co)
+			out, err = core.JoinNodeList(ec.d, o.inv, in, list, co)
 		}
 	}
 	st.Duration += time.Since(start)
@@ -610,8 +604,7 @@ func (o *mergeOp) run(ec *execCtx) ([]int32, error) {
 	return acc, nil
 }
 
-// --- shared evaluation helpers (the step interpreter's machinery,
-// --- restructured to serve the operators) --------------------------
+// --- shared evaluation helpers ---------------------------------------
 
 // step returns the StepStats slot of a step, stamping its input size
 // on first touch.
@@ -623,7 +616,7 @@ func (ec *execCtx) step(meta *stepMeta, inputSize int) *StepStats {
 
 // axisTest evaluates axis::nodetest for the whole context.
 func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
-	d := ec.env.Doc
+	d := ec.d
 	switch a {
 	case axis.Descendant, axis.Ancestor, axis.Following, axis.Preceding:
 		return ec.partitioning(a, test, context, st)
@@ -700,7 +693,7 @@ func (ec *execCtx) axisTest(a axis.Axis, test xpath.NodeTest, context []int32, s
 // descendants are all nodes including the root element, and every
 // other axis is empty from there.
 func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepStats) ([]int32, error) {
-	d := ec.env.Doc
+	d := ec.d
 	root := d.Root()
 	switch a {
 	case axis.Child:
@@ -720,89 +713,59 @@ func (ec *execCtx) docRootAxisTest(a axis.Axis, test xpath.NodeTest, st *StepSta
 }
 
 // partitioning evaluates one of the four partitioning axes with the
-// configured strategy, applying the name test before or after the
-// join. The pushdown and parallel-fan-out decisions are made here,
-// from the actual context, with the cost model's bounds.
+// staircase join variant of the plan's strategy, applying the name
+// test before or after the join. The pushdown and parallel-fan-out
+// decisions are made here, from the actual context, with the cost
+// model's bounds.
 func (ec *execCtx) partitioning(a axis.Axis, test xpath.NodeTest, context []int32, st *StepStats) ([]int32, error) {
-	d := ec.env.Doc
+	d := ec.d
 	opts := ec.opts
-	switch opts.Strategy {
-	case Staircase, StaircaseSkip, StaircaseNoSkip:
-		co := &core.Options{Variant: variantFor(opts.Strategy)}
-		if st != nil {
-			co.Stats = &st.Core
-		}
-		bound := estimateJoinTouches(d, a, context)
-		workers := parallelWorkersFor(opts, bound)
-		if ec.cur != nil {
-			ec.cur.bound = bound
-			ec.cur.workersOffered = workers
-		}
-		if opts.Pushdown != PushNever {
-			if list, indexed, ok := ec.fragList(test); ok {
-				if ec.cur != nil {
-					ec.cur.fragSize = len(list)
-				}
-				if shouldPush(int64(len(list)), bound, opts.Pushdown, workers) {
-					if st != nil {
-						st.Pushed = true
-						st.Indexed = indexed
-					}
-					if ec.cur != nil {
-						ec.cur.pushed = true
-						ec.cur.indexed = indexed
-					}
-					if len(list) == 0 {
-						return nil, nil // tag/kind absent: empty result
-					}
-					// Fragment joins stay serial: the node list is binary-
-					// search bounded and the cost model only chose this
-					// path because it beats even the parallel full-
-					// document join.
-					return core.JoinNodeList(d, a, list, context, co)
-				}
-			}
-		}
-		var nodes []int32
-		var err error
-		if workers > 1 {
-			nodes, err = core.ParallelJoin(d, a, context, workers, co)
-		} else {
-			nodes, err = core.Join(d, a, context, co)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return filterTest(d, a, test, nodes), nil
-	case Naive:
-		var nst *baseline.NaiveStats
-		if st != nil {
-			nst = &st.Naive
-		}
-		nodes := baseline.NaiveJoin(d, a, context, nst)
-		return filterTest(d, a, test, nodes), nil
-	case SQL, SQLWindow:
-		so := baseline.SQLOptions{UseWindow: opts.Strategy == SQLWindow}
-		if test.Kind == xpath.TestName {
-			// The paper's DB2 observation: the B-tree uses concatenated
-			// (pre, post, tag name) keys, so the name test is early.
-			so.Tag = test.Name
-			if st != nil {
-				st.Pushed = true
-			}
-			if ec.cur != nil {
-				ec.cur.pushed = true
-			}
-			return ec.env.SQL().Step(a, context, so)
-		}
-		nodes, err := ec.env.SQL().Step(a, context, so)
-		if err != nil {
-			return nil, err
-		}
-		return filterTest(d, a, test, nodes), nil
-	default:
-		return nil, fmt.Errorf("plan: unknown strategy %v", opts.Strategy)
+	co := &core.Options{Variant: variantFor(opts.Strategy)}
+	if st != nil {
+		co.Stats = &st.Core
 	}
+	bound := estimateJoinTouches(d, a, context)
+	workers := parallelWorkersFor(opts, bound)
+	if ec.cur != nil {
+		ec.cur.bound = bound
+		ec.cur.workersOffered = workers
+	}
+	if opts.Pushdown != PushNever {
+		if list, indexed, ok := ec.fragList(test); ok {
+			if ec.cur != nil {
+				ec.cur.fragSize = len(list)
+			}
+			if shouldPush(int64(len(list)), bound, opts.Pushdown, workers) {
+				if st != nil {
+					st.Pushed = true
+					st.Indexed = indexed
+				}
+				if ec.cur != nil {
+					ec.cur.pushed = true
+					ec.cur.indexed = indexed
+				}
+				if len(list) == 0 {
+					return nil, nil // tag/kind absent: empty result
+				}
+				// Fragment joins stay serial: the node list is binary-
+				// search bounded and the cost model only chose this
+				// path because it beats even the parallel full-
+				// document join.
+				return core.JoinNodeList(d, a, list, context, co)
+			}
+		}
+	}
+	var nodes []int32
+	var err error
+	if workers > 1 {
+		nodes, err = core.ParallelJoin(d, a, context, workers, co)
+	} else {
+		nodes, err = core.Join(d, a, context, co)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return filterTest(d, a, test, nodes), nil
 }
 
 // variantFor maps strategies to staircase join variants.

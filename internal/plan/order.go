@@ -20,7 +20,7 @@
 // order regardless of the evaluation order chosen here, so equivalent
 // query spellings keep sharing result-cache and shared-scan entries.
 // Options.NoReorder disables the pass (ablation; the differential
-// suite pins greedy ≡ left-to-right ≡ legacy).
+// suite pins greedy ≡ left-to-right ≡ the reference evaluator).
 //
 // Mid-flight adaptive re-planning (adapt.go) builds on the chain
 // metadata attached here: reordered filter chains execute through one
@@ -32,27 +32,9 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"staircase/internal/axis"
 )
-
-// reordersTotal counts plan compilations whose greedy pass changed an
-// evaluation order (including empty-branch short-circuits);
-// adaptiveReplansTotal counts mid-flight stage-order switches adopted
-// by the cursor executor. Both feed the server's /metrics.
-var (
-	reordersTotal        atomic.Int64
-	adaptiveReplansTotal atomic.Int64
-)
-
-// Reorders returns the process-wide count of greedy ordering decisions
-// that changed a plan (plan_reorders_total).
-func Reorders() int64 { return reordersTotal.Load() }
-
-// AdaptiveReplans returns the process-wide count of adopted mid-flight
-// re-planning switches (adaptive_replans_total).
-func AdaptiveReplans() int64 { return adaptiveReplansTotal.Load() }
 
 // replanRatio is the divergence threshold for adaptive re-planning:
 // a stage's observed selectivity must differ from its compile-time
@@ -94,7 +76,7 @@ func (o *emptyOp) open(ec *execCtx) (cursor, error) {
 }
 
 // orderPlan is the greedy ordering pass entry point, run by Compile
-// for staircase strategies unless Options.NoReorder. Per union branch:
+// unless Options.NoReorder. Per union branch:
 // reorder the commutable filter chains, then short-circuit the branch
 // entirely when its spine holds a provably empty intermediate.
 func (c *compiler) orderPlan() {
@@ -105,7 +87,6 @@ func (c *compiler) orderPlan() {
 			e := &emptyOp{inner: b, reason: reason}
 			c.add(e)
 			p.orderNotes = append(p.orderNotes, "empty: "+reason+"; downstream operators skipped")
-			reordersTotal.Add(1)
 			return e
 		}
 		return b
@@ -203,7 +184,7 @@ func (c *compiler) rankMember(o op) chainRank {
 		}
 		return chainRank{cls: 1, src: t.srcOrd}
 	case *valueSemiJoinOp:
-		if list, ok := t.scan.resolveWith(c.env.Doc, c.opts); ok {
+		if list, ok := t.scan.resolveWith(c.d, c.opts); ok {
 			return chainRank{cls: 0, count: int64(len(list)), src: t.srcOrd}
 		}
 		return chainRank{cls: 2, src: t.srcOrd}
@@ -283,7 +264,6 @@ func (c *compiler) orderChain(base op, members []op) op {
 		}
 	}
 	if changed {
-		reordersTotal.Add(1)
 		var labels []string
 		for _, m := range sorted {
 			labels = append(labels, chainLabel(m))
@@ -389,7 +369,7 @@ func (c *compiler) branchEmptyReason(o op) string {
 			}
 			o = t.in
 		case *valueSemiJoinOp:
-			if list, ok := t.scan.resolveWith(c.env.Doc, c.opts); ok && len(list) == 0 {
+			if list, ok := t.scan.resolveWith(c.d, c.opts); ok && len(list) == 0 {
 				return fmt.Sprintf("step %d predicate %s has an empty value fragment", t.meta.ord, chainLabel(t))
 			}
 			o = t.in

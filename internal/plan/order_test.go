@@ -63,10 +63,9 @@ func TestSemiJoinProbeDirection(t *testing.T) {
 	}
 	sb.WriteString("</r>")
 	d := shredString(t, sb.String())
-	env := NewEnv(d)
 
 	// 1 input node vs a 40-node fragment: input-seek.
-	p := compileQuery(t, env, "//x[following::f]", nil)
+	p := compileQuery(t, d, "//x[following::f]", nil)
 	sj := findSemiJoin(t, p)
 	res, err := p.RunRoot()
 	if err != nil {
@@ -80,7 +79,7 @@ func TestSemiJoinProbeDirection(t *testing.T) {
 	}
 
 	// NoReorder pins the legacy fragment sweep in the same situation.
-	p = compileQuery(t, env, "//x[following::f]", &Options{NoReorder: true})
+	p = compileQuery(t, d, "//x[following::f]", &Options{NoReorder: true})
 	sj = findSemiJoin(t, p)
 	res, err = p.RunRoot()
 	if err != nil {
@@ -91,8 +90,8 @@ func TestSemiJoinProbeDirection(t *testing.T) {
 	}
 
 	// Comparable cardinalities on the fixture: fragment sweep.
-	env = NewEnv(fixture(t))
-	p = compileQuery(t, env, "//person[descendant::name]", nil)
+	d = fixture(t)
+	p = compileQuery(t, d, "//person[descendant::name]", nil)
 	sj = findSemiJoin(t, p)
 	res, err = p.RunRoot()
 	if err != nil {
@@ -107,8 +106,8 @@ func TestSemiJoinProbeDirection(t *testing.T) {
 // branch spine compiles to an EmptyResult wrapper; execution emits
 // nothing, runs no downstream operator and does no staircase work.
 func TestEmptyIntermediateShortCircuit(t *testing.T) {
-	env := NewEnv(fixture(t))
-	p := compileQuery(t, env, "//nosuch/ancestor::person", nil)
+	d := fixture(t)
+	p := compileQuery(t, d, "//nosuch/ancestor::person", nil)
 	e, ok := p.root.(*emptyOp)
 	if !ok {
 		t.Fatalf("root is %T, want *emptyOp", p.root)
@@ -159,12 +158,11 @@ func TestEmptyIntermediateShortCircuit(t *testing.T) {
 // smaller-fragment semijoin evaluates first regardless of source
 // order, and the result is unchanged.
 func TestGreedyHoistOrder(t *testing.T) {
-	env := NewEnv(fixture(t))
+	d := fixture(t)
 	q := "//site[descendant::person][descendant::education]"
-	before := Reorders()
-	p := compileQuery(t, env, q, nil)
-	if Reorders() == before {
-		t.Error("plan_reorders_total did not move")
+	p := compileQuery(t, d, q, nil)
+	if p.Reorders() != len(p.orderNotes) || p.Reorders() == 0 {
+		t.Errorf("Reorders() = %d with %d order notes", p.Reorders(), len(p.orderNotes))
 	}
 	if len(p.orderNotes) == 0 {
 		t.Fatal("no order notes on a reordered plan")
@@ -179,7 +177,7 @@ func TestGreedyHoistOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(t, env, q, &Options{NoReorder: true})
+	want := run(t, d, q, &Options{NoReorder: true})
 	if !equal32(got.Nodes, want) {
 		t.Fatalf("reordered %v != source order %v", got.Nodes, want)
 	}
@@ -190,7 +188,7 @@ func TestGreedyHoistOrder(t *testing.T) {
 // string — the result-cache and shared-scan key — must be identical
 // with and without the greedy pass.
 func TestCanonUnchangedByOrdering(t *testing.T) {
-	env := NewEnv(fixture(t))
+	d := fixture(t)
 	for _, q := range []string{
 		"//site[descendant::person][descendant::education]",
 		"//person[profile][name = 'Carol']",
@@ -198,8 +196,8 @@ func TestCanonUnchangedByOrdering(t *testing.T) {
 		"//nosuch/ancestor::person",
 		"//person[profile][name = 'Carol'] | //bidder[descendant::increase]",
 	} {
-		ordered := compileQuery(t, env, q, nil)
-		plain := compileQuery(t, env, q, &Options{NoReorder: true})
+		ordered := compileQuery(t, d, q, nil)
+		plain := compileQuery(t, d, q, &Options{NoReorder: true})
 		if ordered.Canon() != plain.Canon() {
 			t.Errorf("canon differs under ordering for %s:\n ordered %s\n   plain %s",
 				q, ordered.Canon(), plain.Canon())
@@ -210,8 +208,8 @@ func TestCanonUnchangedByOrdering(t *testing.T) {
 // TestFragScanMemoized: the fragment list of a prepared plan is
 // resolved once and shared by subsequent executions.
 func TestFragScanMemoized(t *testing.T) {
-	env := NewEnv(fixture(t))
-	p := compileQuery(t, env, "/descendant::person", nil)
+	d := fixture(t)
+	p := compileQuery(t, d, "/descendant::person", nil)
 	var frag *fragScan
 	for _, o := range p.ops {
 		if f, ok := o.(*fragScan); ok {
@@ -221,8 +219,8 @@ func TestFragScanMemoized(t *testing.T) {
 	if frag == nil {
 		t.Fatal("plan has no fragScan")
 	}
-	l1, _, ok1 := frag.resolveWith(env.Doc, &p.opts)
-	l2, _, ok2 := frag.resolveWith(env.Doc, &p.opts)
+	l1, _, ok1 := frag.resolveWith(d, &p.opts)
+	l2, _, ok2 := frag.resolveWith(d, &p.opts)
 	if !ok1 || !ok2 || len(l1) == 0 {
 		t.Fatalf("resolve failed: %v %v %v", l1, ok1, ok2)
 	}
@@ -247,19 +245,19 @@ func TestFragScanMemoized(t *testing.T) {
 // through the adaptive chain cursor; the drained sequence must be
 // byte-identical to batch execution and to the NoReorder plan.
 func TestChainCursorMatchesBatch(t *testing.T) {
-	env := NewEnv(fixture(t))
+	d := fixture(t)
 	for _, q := range []string{
 		"//site[descendant::person][descendant::education]",
 		"//person[profile][name = 'Carol']",
 		"//open_auction[descendant::bidder][current > 10]",
 		"//person[name][profile][descendant::education]",
 	} {
-		batch := run(t, env, q, nil)
-		plain := run(t, env, q, &Options{NoReorder: true})
+		batch := run(t, d, q, nil)
+		plain := run(t, d, q, &Options{NoReorder: true})
 		if !equal32(batch, plain) {
 			t.Fatalf("%s: reordered batch %v != NoReorder %v", q, batch, plain)
 		}
-		p := compileQuery(t, env, q, nil)
+		p := compileQuery(t, d, q, nil)
 		lr, err := p.RunLimitRoot(context.Background(), math.MaxInt)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -282,10 +280,9 @@ func TestAdaptiveReplanFires(t *testing.T) {
 		sb.WriteString("<item><b>t</b></item>")
 	}
 	sb.WriteString("</r>")
-	env := NewEnv(shredString(t, sb.String()))
+	d := shredString(t, sb.String())
 	q := "//item[child::b][child::c]"
-	p := compileQuery(t, env, q, nil)
-	before := AdaptiveReplans()
+	p := compileQuery(t, d, q, nil)
 	lr, err := p.RunLimitRoot(context.Background(), math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +290,8 @@ func TestAdaptiveReplanFires(t *testing.T) {
 	if len(lr.Nodes) != 0 {
 		t.Fatalf("nodes = %d, want 0", len(lr.Nodes))
 	}
-	if AdaptiveReplans() == before {
-		t.Error("adaptive_replans_total did not move")
+	if lr.Replans() == 0 {
+		t.Error("Result.Replans() did not count the switch")
 	}
 	if len(lr.replans) == 0 {
 		t.Error("no re-plan note on the execution result")

@@ -20,7 +20,7 @@
 // The pipeline is
 //
 //	xpath.Query --BuildLogical--> *Logical --Rewrite--> (rules applied)
-//	            --Compile(env)--> *Plan    --Run------> *Result
+//	            --Compile(doc)--> *Plan    --Run------> *Result
 //
 // BuildLogical and Rewrite are document-independent and can be cached
 // per query text; Compile binds the logical plan to one document
@@ -32,21 +32,17 @@
 //
 // Cost-model decisions that depend on the runtime context sequence
 // (pushdown of a specific step, parallel worker fan-out) are resolved
-// by the operators at execution time with exactly the bounds the
-// legacy evaluator used, so plan-based execution is result- and
-// report-identical to it; the plan records the candidate fragment scan
-// and the policy, and EXPLAIN reports the decision actually taken.
+// by the operators at execution time from the actual context; the plan
+// records the candidate fragment scan and the policy, and EXPLAIN
+// reports the decision actually taken.
 package plan
 
-import (
-	"fmt"
-	"sync"
+import "fmt"
 
-	"staircase/internal/baseline"
-	"staircase/internal/doc"
-)
-
-// Strategy selects the axis-step algorithm for partitioning axes.
+// Strategy selects the staircase join variant for partitioning axes.
+// The paper's tree-unaware comparators (naive region queries, the SQL
+// plan of Figure 3) are not planner strategies: the bench harness
+// composes them from internal/baseline steps.
 type Strategy uint8
 
 const (
@@ -57,13 +53,6 @@ const (
 	StaircaseSkip
 	// StaircaseNoSkip uses the basic algorithm (Algorithm 2).
 	StaircaseNoSkip
-	// Naive evaluates one region query per context node and removes
-	// duplicates afterwards (Experiment 1's strawman).
-	Naive
-	// SQL mimics the tree-unaware indexed plan of Figure 3.
-	SQL
-	// SQLWindow is SQL plus the Equation (1) window predicate (§2.1).
-	SQLWindow
 )
 
 // String names the strategy.
@@ -75,23 +64,12 @@ func (s Strategy) String() string {
 		return "staircase-skip"
 	case StaircaseNoSkip:
 		return "staircase-noskip"
-	case Naive:
-		return "naive"
-	case SQL:
-		return "sql"
-	case SQLWindow:
-		return "sql-window"
 	default:
 		return fmt.Sprintf("Strategy(%d)", uint8(s))
 	}
 }
 
-// staircase reports whether the strategy is a staircase join variant.
-func (s Strategy) staircase() bool {
-	return s == Staircase || s == StaircaseSkip || s == StaircaseNoSkip
-}
-
-// Pushdown controls name-test pushdown for staircase strategies.
+// Pushdown controls name-test pushdown.
 type Pushdown uint8
 
 const (
@@ -125,11 +103,10 @@ const AutoParallelism = -1
 // the paper default: full staircase join with automatic pushdown,
 // serial execution.
 type Options struct {
-	// Strategy selects the physical operator family for the four
+	// Strategy selects the staircase join variant for the four
 	// partitioning axes.
 	Strategy Strategy
-	// Pushdown is the name/kind-test pushdown policy for staircase
-	// strategies.
+	// Pushdown is the name/kind-test pushdown policy.
 	Pushdown Pushdown
 	// Parallelism is the worker count for partition-parallel staircase
 	// joins: 0 or 1 evaluates serially, > 1 uses at most that many
@@ -172,29 +149,4 @@ func (o *Options) orDefault() *Options {
 		return &Options{}
 	}
 	return o
-}
-
-// Env is the execution environment a plan binds to: the document plus
-// the lazily built per-document runtime state the baseline operators
-// need (the SQL baseline's B-trees). One Env is shared by every plan
-// over a document; it is safe for concurrent use.
-type Env struct {
-	// Doc is the pre/post encoded document.
-	Doc *doc.Document
-
-	mu  sync.Mutex
-	sql *baseline.SQLEngine
-}
-
-// NewEnv returns an environment over the document.
-func NewEnv(d *doc.Document) *Env { return &Env{Doc: d} }
-
-// SQL lazily builds and returns the B-tree indexes of the SQL baseline.
-func (e *Env) SQL() *baseline.SQLEngine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sql == nil {
-		e.sql = baseline.NewSQLEngine(e.Doc)
-	}
-	return e.sql
 }

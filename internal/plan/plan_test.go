@@ -36,7 +36,7 @@ func fixture(t testing.TB) *doc.Document {
 }
 
 // compileQuery builds, rewrites and compiles a query for the fixture.
-func compileQuery(t testing.TB, env *Env, q string, opts *Options) *Plan {
+func compileQuery(t testing.TB, d *doc.Document, q string, opts *Options) *Plan {
 	t.Helper()
 	pq, err := xpath.ParseQuery(q)
 	if err != nil {
@@ -44,16 +44,16 @@ func compileQuery(t testing.TB, env *Env, q string, opts *Options) *Plan {
 	}
 	l := BuildLogical(pq)
 	Rewrite(l)
-	p, err := Compile(env, l, opts)
+	p, err := Compile(d, l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func run(t testing.TB, env *Env, q string, opts *Options) []int32 {
+func run(t testing.TB, d *doc.Document, q string, opts *Options) []int32 {
 	t.Helper()
-	res, err := compileQuery(t, env, q, opts).RunRoot()
+	res, err := compileQuery(t, d, q, opts).RunRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,6 @@ func run(t testing.TB, env *Env, q string, opts *Options) []int32 {
 
 func TestPlanBasicQueries(t *testing.T) {
 	d := fixture(t)
-	env := NewEnv(d)
 	cases := []struct {
 		q    string
 		want int
@@ -79,7 +78,7 @@ func TestPlanBasicQueries(t *testing.T) {
 		{"//nosuchtag", 0},
 	}
 	for _, tc := range cases {
-		got := run(t, env, tc.q, nil)
+		got := run(t, d, tc.q, nil)
 		if len(got) != tc.want {
 			t.Errorf("%s: got %d nodes (%v), want %d", tc.q, len(got), got, tc.want)
 		}
@@ -88,18 +87,17 @@ func TestPlanBasicQueries(t *testing.T) {
 
 // TestPlanRewriteCollapse pins the //-collapse rewrite and its
 // root-element corner case: //site must NOT return the root element
-// (the document node's children are not materialised), matching the
-// step interpreter.
+// (the document node's children are not materialised), matching XPath's
+// document-node semantics.
 func TestPlanRewriteCollapse(t *testing.T) {
 	d := fixture(t)
-	env := NewEnv(d)
-	if got := run(t, env, "//site", nil); len(got) != 0 {
+	if got := run(t, d, "//site", nil); len(got) != 0 {
 		t.Errorf("//site = %v, want empty (root element is not a child of any node)", got)
 	}
-	if got := run(t, env, "/descendant::site", nil); len(got) != 1 {
+	if got := run(t, d, "/descendant::site", nil); len(got) != 1 {
 		t.Errorf("/descendant::site = %v, want the root element", got)
 	}
-	p := compileQuery(t, env, "//person/name", nil)
+	p := compileQuery(t, d, "//person/name", nil)
 	joined := strings.Join(p.Rewrites(), ",")
 	if !strings.Contains(joined, "collapse-descendant-or-self") {
 		t.Errorf("rewrites = %v, want collapse-descendant-or-self", p.Rewrites())
@@ -113,7 +111,6 @@ func TestPlanRewriteCollapse(t *testing.T) {
 // same plan string; different semantics stay distinct.
 func TestPlanCanonEquivalence(t *testing.T) {
 	d := fixture(t)
-	env := NewEnv(d)
 	same := [][2]string{
 		{"//person/name", "/descendant-or-self::node()/child::person/child::name"},
 		{"//bidder", "/descendant-or-self::node()/descendant-or-self::node()/child::bidder"},
@@ -121,8 +118,8 @@ func TestPlanCanonEquivalence(t *testing.T) {
 		{"descendant::bidder/self::node()", "descendant::bidder"},
 	}
 	for _, pair := range same {
-		a := compileQuery(t, env, pair[0], nil).Canon()
-		b := compileQuery(t, env, pair[1], nil).Canon()
+		a := compileQuery(t, d, pair[0], nil).Canon()
+		b := compileQuery(t, d, pair[1], nil).Canon()
 		if a != b {
 			t.Errorf("canon(%q) != canon(%q):\n %s\n %s", pair[0], pair[1], a, b)
 		}
@@ -133,21 +130,21 @@ func TestPlanCanonEquivalence(t *testing.T) {
 		{"//person", "/descendant::person | //nosuch"},
 	}
 	for _, pair := range diff {
-		a := compileQuery(t, env, pair[0], nil).Canon()
-		b := compileQuery(t, env, pair[1], nil).Canon()
+		a := compileQuery(t, d, pair[0], nil).Canon()
+		b := compileQuery(t, d, pair[1], nil).Canon()
 		if a == b {
 			t.Errorf("canon(%q) == canon(%q) = %s, want distinct", pair[0], pair[1], a)
 		}
 	}
 	// Parallelism and NoIndex are excluded from the canonical string
 	// (property-tested to never change results) ...
-	a := compileQuery(t, env, "//bidder", &Options{Parallelism: 4}).Canon()
-	b := compileQuery(t, env, "//bidder", &Options{NoIndex: true}).Canon()
+	a := compileQuery(t, d, "//bidder", &Options{Parallelism: 4}).Canon()
+	b := compileQuery(t, d, "//bidder", &Options{NoIndex: true}).Canon()
 	if a != b {
 		t.Errorf("canon differs across parallel/noindex knobs:\n %s\n %s", a, b)
 	}
 	// ... while strategy and pushdown policy are included.
-	c := compileQuery(t, env, "//bidder", &Options{Strategy: SQL}).Canon()
+	c := compileQuery(t, d, "//bidder", &Options{Strategy: StaircaseNoSkip}).Canon()
 	if c == a {
 		t.Errorf("canon ignores strategy: %s", c)
 	}
@@ -157,8 +154,7 @@ func TestPlanCanonEquivalence(t *testing.T) {
 // rewritten form and produces the same nodes as per-node filtering.
 func TestPlanSemiJoin(t *testing.T) {
 	d := fixture(t)
-	env := NewEnv(d)
-	p := compileQuery(t, env, "/descendant::bidder[descendant::increase]", nil)
+	p := compileQuery(t, d, "/descendant::bidder[descendant::increase]", nil)
 	if !strings.Contains(strings.Join(p.Rewrites(), ","), "exists-semijoin") {
 		t.Fatalf("rewrites = %v, want exists-semijoin", p.Rewrites())
 	}
@@ -166,8 +162,9 @@ func TestPlanSemiJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The naive strategy keeps the per-node PredFilter; results agree.
-	want := run(t, env, "/descendant::bidder[descendant::increase]", &Options{Strategy: Naive})
+	// A two-step predicate path is not rewritten: it keeps the per-node
+	// PredFilter, and the results agree.
+	want := run(t, d, "/descendant::bidder[descendant::increase/self::node()]", nil)
 	if len(res.Nodes) != len(want) {
 		t.Fatalf("semijoin %v vs predfilter %v", res.Nodes, want)
 	}
@@ -180,8 +177,7 @@ func TestPlanSemiJoin(t *testing.T) {
 
 func TestPlanExplainSurfaces(t *testing.T) {
 	d := fixture(t)
-	env := NewEnv(d)
-	p := compileQuery(t, env, "/descendant::increase/ancestor::bidder", nil)
+	p := compileQuery(t, d, "/descendant::increase/ancestor::bidder", nil)
 	res, err := p.RunRoot()
 	if err != nil {
 		t.Fatal(err)
@@ -208,12 +204,11 @@ func TestPlanExplainSurfaces(t *testing.T) {
 	}
 }
 
-// TestPlanStepStats: the per-step reports match the step interpreter's
+// TestPlanStepStats: the per-step reports follow the engine's report
 // conventions (input/output sizes, pushdown flags, staircase work).
 func TestPlanStepStats(t *testing.T) {
 	d := fixture(t)
-	env := NewEnv(d)
-	p := compileQuery(t, env, "/descendant::increase/ancestor::bidder", nil)
+	p := compileQuery(t, d, "/descendant::increase/ancestor::bidder", nil)
 	res, err := p.RunRoot()
 	if err != nil {
 		t.Fatal(err)
@@ -230,5 +225,19 @@ func TestPlanStepStats(t *testing.T) {
 	}
 	if s0.Core.Scanned == 0 && !s0.Pushed {
 		t.Error("no staircase stats and no pushdown on step 0")
+	}
+}
+
+// TestCompileRejectsUnknownStrategy: a Strategy value outside the three
+// staircase variants is an error, not a silent fallback.
+func TestCompileRejectsUnknownStrategy(t *testing.T) {
+	q, err := xpath.ParseQuery("//bidder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := BuildLogical(q)
+	Rewrite(l)
+	if _, err := Compile(fixture(t), l, &Options{Strategy: StaircaseNoSkip + 1}); err == nil {
+		t.Fatal("expected an error for an unknown strategy")
 	}
 }

@@ -37,24 +37,24 @@ type predProg struct {
 	kids    []*predProg
 }
 
-// compilePredProg compiles a predicate against the plan's environment
-// and options.
-func compilePredProg(env *Env, opts *Options, pred xpath.Predicate) (*predProg, error) {
+// predProg compiles a predicate against the plan's document and
+// options.
+func (c *compiler) predProg(pred xpath.Predicate) (*predProg, error) {
 	switch p := pred.(type) {
 	case xpath.Exists:
-		sub, err := compileSubPath(env, opts, p.Path)
+		sub, err := c.subPlan(p.Path)
 		if err != nil {
 			return nil, err
 		}
 		return &predProg{kind: pgExists, sub: sub}, nil
 	case xpath.Compare:
-		sub, err := compileSubPath(env, opts, p.Path)
+		sub, err := c.subPlan(p.Path)
 		if err != nil {
 			return nil, err
 		}
 		return &predProg{kind: pgCompare, sub: sub, op: p.Op, lit: p.Literal, numeric: p.Numeric}, nil
 	case xpath.Contains:
-		sub, err := compileSubPath(env, opts, p.Path)
+		sub, err := c.subPlan(p.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -64,19 +64,19 @@ func compilePredProg(env *Env, opts *Options, pred xpath.Predicate) (*predProg, 
 	case xpath.Last:
 		return &predProg{kind: pgLast}, nil
 	case xpath.Not:
-		kid, err := compilePredProg(env, opts, p.Inner)
+		kid, err := c.predProg(p.Inner)
 		if err != nil {
 			return nil, err
 		}
 		return &predProg{kind: pgNot, kids: []*predProg{kid}}, nil
 	case xpath.And:
-		kids, err := compilePredProgs(env, opts, p.Preds)
+		kids, err := c.predProgs(p.Preds)
 		if err != nil {
 			return nil, err
 		}
 		return &predProg{kind: pgAnd, kids: kids}, nil
 	case xpath.Or:
-		kids, err := compilePredProgs(env, opts, p.Preds)
+		kids, err := c.predProgs(p.Preds)
 		if err != nil {
 			return nil, err
 		}
@@ -86,10 +86,10 @@ func compilePredProg(env *Env, opts *Options, pred xpath.Predicate) (*predProg, 
 	}
 }
 
-func compilePredProgs(env *Env, opts *Options, preds []xpath.Predicate) ([]*predProg, error) {
+func (c *compiler) predProgs(preds []xpath.Predicate) ([]*predProg, error) {
 	kids := make([]*predProg, 0, len(preds))
 	for _, q := range preds {
-		kid, err := compilePredProg(env, opts, q)
+		kid, err := c.predProg(q)
 		if err != nil {
 			return nil, err
 		}
@@ -98,13 +98,18 @@ func compilePredProgs(env *Env, opts *Options, preds []xpath.Predicate) ([]*pred
 	return kids, nil
 }
 
-// compileSubPath compiles the relative (or absolute) path of a
-// predicate into a sub-plan, sharing the parent plan's environment and
-// options.
-func compileSubPath(env *Env, opts *Options, path xpath.Path) (*Plan, error) {
+// subPlan compiles the relative (or absolute) path of a predicate into
+// a sub-plan, sharing the parent plan's document and options. The
+// sub-plan's ordering decisions count toward the parent's Reorders.
+func (c *compiler) subPlan(path xpath.Path) (*Plan, error) {
 	l := BuildLogical(xpath.Query{Paths: []xpath.Path{path}})
 	Rewrite(l)
-	return Compile(env, l, opts)
+	sub, err := Compile(c.d, l, c.opts)
+	if err != nil {
+		return nil, err
+	}
+	c.p.reorders += sub.reorders
+	return sub, nil
 }
 
 // evalSub runs a predicate sub-plan for one candidate node.
@@ -131,7 +136,7 @@ func (pg *predProg) holds(ec *execCtx, v int32) (bool, error) {
 			return false, err
 		}
 		for _, n := range nodes {
-			if xpath.CompareValue(ec.env.Doc.StringValue(n), pg.op, pg.lit, pg.numeric) {
+			if xpath.CompareValue(ec.d.StringValue(n), pg.op, pg.lit, pg.numeric) {
 				return true, nil
 			}
 		}
@@ -142,7 +147,7 @@ func (pg *predProg) holds(ec *execCtx, v int32) (bool, error) {
 			return false, err
 		}
 		for _, n := range nodes {
-			if strings.Contains(ec.env.Doc.StringValue(n), pg.lit) {
+			if strings.Contains(ec.d.StringValue(n), pg.lit) {
 				return true, nil
 			}
 		}

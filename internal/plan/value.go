@@ -80,7 +80,7 @@ func (o *valueScan) open(ec *execCtx) (cursor, error) {
 // back to per-node evaluation. The returned slice is shared across
 // executions: callers must not mutate it.
 func (o *valueScan) resolve(ec *execCtx) (list []int32, ok bool) {
-	return o.resolveWith(ec.env.Doc, ec.opts)
+	return o.resolveWith(ec.d, ec.opts)
 }
 
 // resolveWith is resolve without an execution context (the greedy
@@ -209,7 +209,7 @@ func (o *valueSemiJoinOp) run(ec *execCtx) ([]int32, error) {
 	start := time.Now()
 	list, indexed := o.scan.resolve(ec)
 	ost.indexed = indexed
-	d := ec.env.Doc
+	d := ec.d
 	var out []int32
 	if indexed && !ec.opts.NoReorder && len(list) > 0 && probeFromInput(len(list), len(in)) {
 		// Fragment-side direction: the fragment is far smaller than the
@@ -353,7 +353,7 @@ func (o *valueSemiJoinOp) open(ec *execCtx) (cursor, error) {
 	ost := &ec.ops[o.id]
 	ost.ran = true
 	c := &valueSemiJoinCursor{
-		ec: ec, o: o, st: st, ost: ost, in: in, d: ec.env.Doc,
+		ec: ec, o: o, st: st, ost: ost, in: in, d: ec.d,
 	}
 	if list, indexed := o.scan.resolve(ec); indexed {
 		c.indexed = true

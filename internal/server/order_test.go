@@ -106,3 +106,34 @@ func TestOrderingMetricsExposed(t *testing.T) {
 		t.Errorf("adaptive_replans_total %d -> %d, want increase", replansBefore, got)
 	}
 }
+
+// TestOrderingMetricsPerServer: the ordering counters belong to the
+// server that compiled and ran the plans. Traffic on server A moves A's
+// plan_reorders_total and adaptive_replans_total and leaves server B's,
+// in the same process, at zero.
+func TestOrderingMetricsPerServer(t *testing.T) {
+	a, doneA := newOrderServer(t)
+	defer doneA()
+	b, doneB := newOrderServer(t)
+	defer doneB()
+
+	body, _ := json.Marshal(QueryRequest{Doc: "mem", Query: "//item[descendant::b][descendant::z]"})
+	resp, err := http.Post(a.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if chunks := postStream(t, a.URL, QueryRequest{Doc: "mem", Query: "//item[child::b][child::c]"}); len(chunks) == 0 {
+		t.Fatal("no stream chunks")
+	}
+
+	for _, m := range []string{"xpathd_plan_reorders_total", "xpathd_adaptive_replans_total"} {
+		if got := scrapeMetric(t, a.URL, m); got == 0 {
+			t.Errorf("server A %s = 0, want > 0", m)
+		}
+		if got := scrapeMetric(t, b.URL, m); got != 0 {
+			t.Errorf("server B %s = %d after traffic on A only, want 0", m, got)
+		}
+	}
+}

@@ -179,7 +179,13 @@ type Server struct {
 	errors      atomic.Int64
 	cancels     atomic.Int64
 	timeouts    atomic.Int64
-	draining    atomic.Bool
+	// reorders sums the greedy ordering decisions of the plans this
+	// server compiled; replans the adaptive re-planning switches its
+	// executions adopted. Both are per server: two servers in one
+	// process never see each other's events.
+	reorders atomic.Int64
+	replans  atomic.Int64
+	draining atomic.Bool
 }
 
 type preparedEntry struct {
@@ -320,8 +326,7 @@ func (s *Server) requestCtx(r *http.Request, timeoutMs int) (context.Context, co
 // QueryOptions selects the evaluation configuration, mirroring
 // engine.Options with JSON-friendly names.
 type QueryOptions struct {
-	// Strategy: staircase (default), staircase-skip, staircase-noskip,
-	// naive, sql, sql-window.
+	// Strategy: staircase (default), staircase-skip, staircase-noskip.
 	Strategy string `json:"strategy,omitempty"`
 	// Pushdown: auto (default), always, never.
 	Pushdown string `json:"pushdown,omitempty"`
@@ -400,9 +405,6 @@ var strategies = map[string]engine.Strategy{
 	"staircase":        engine.Staircase,
 	"staircase-skip":   engine.StaircaseSkip,
 	"staircase-noskip": engine.StaircaseNoSkip,
-	"naive":            engine.Naive,
-	"sql":              engine.SQL,
-	"sql-window":       engine.SQLWindow,
 }
 
 var pushdowns = map[string]engine.Pushdown{
@@ -604,6 +606,7 @@ func (s *Server) prepare(h *catalog.Handle, query string, opts *engine.Options) 
 	if err != nil {
 		return nil, err
 	}
+	s.reorders.Add(int64(p.Reorders()))
 
 	s.preparedMu.Lock()
 	defer s.preparedMu.Unlock()
@@ -753,6 +756,7 @@ func (s *Server) evalOne(ctx context.Context, h *catalog.Handle, query string, o
 		s.classifyEvalErr(ctx, &res, err)
 		return res
 	}
+	s.replans.Add(int64(r.Replans))
 	res.Nodes = r.Nodes
 	res.Count = len(r.Nodes)
 	res.Truncated = r.Truncated
@@ -791,6 +795,29 @@ func (l *limitCursor) Next() ([]int32, error) {
 
 func (l *limitCursor) Close() { l.cur.Close() }
 
+// countedCursor is a streaming execution that adds its adaptive
+// re-planning switches to the owning server's counter when it closes.
+type countedCursor struct {
+	*plan.RunCursor
+	replans *atomic.Int64
+	once    sync.Once
+}
+
+func (c *countedCursor) Close() {
+	c.once.Do(func() { c.replans.Add(int64(c.Replans())) })
+	c.RunCursor.Close()
+}
+
+// cursor opens a streaming execution of a prepared plan whose re-plans
+// count toward this server's adaptive_replans_total.
+func (s *Server) cursor(ctx context.Context, p *engine.Prepared) (*countedCursor, error) {
+	cur, err := p.Cursor(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &countedCursor{RunCursor: cur, replans: &s.replans}, nil
+}
+
 // sharedEval evaluates through the pace-car registry: identical
 // concurrent cache misses share one execution keyed exactly like their
 // cache entry, and the completed buffer retires into the cache through
@@ -798,7 +825,7 @@ func (l *limitCursor) Close() { l.cur.Close() }
 // attached to a flight another request created).
 func (s *Server) sharedEval(ctx context.Context, p *engine.Prepared, key string, opts *engine.Options, limit int) ([]int32, bool, error) {
 	open := func(fctx context.Context) (share.Cursor, error) {
-		cur, err := p.Cursor(fctx)
+		cur, err := s.cursor(fctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -967,7 +994,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.pool.release(cost)
-	cur, err := p.Cursor(ctx)
+	cur, err := s.cursor(ctx, p)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1090,7 +1117,7 @@ func (s *Server) streamShared(w http.ResponseWriter, ctx context.Context, h *cat
 	}
 	s.cacheMisses.Add(1)
 	open := func(fctx context.Context) (share.Cursor, error) {
-		cur, err := p.Cursor(fctx)
+		cur, err := s.cursor(fctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -1289,8 +1316,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("shed_queries_total", s.pool.shedCount())
 	emit("timeout_queries_total", s.timeouts.Load())
 	emit("panics_recovered_total", fault.Recovered())
-	emit("plan_reorders_total", plan.Reorders())
-	emit("adaptive_replans_total", plan.AdaptiveReplans())
+	emit("plan_reorders_total", s.reorders.Load())
+	emit("adaptive_replans_total", s.replans.Load())
 	emit("workers_in_use", int64(s.pool.inUse()))
 	emit("workers_capacity", int64(s.pool.cap))
 	emit("worker_queue_depth", int64(s.pool.queueDepth()))

@@ -189,11 +189,24 @@ func TestQueryErrors(t *testing.T) {
 	if _, code := postQuery(t, ts.URL, QueryRequest{Doc: "mem"}); code != http.StatusBadRequest {
 		t.Fatalf("empty query: status %d", code)
 	}
-	if _, code := postQuery(t, ts.URL, QueryRequest{
-		Doc: "mem", Query: "/descendant::a",
-		Options: &QueryOptions{Strategy: "quantum"},
-	}); code != http.StatusBadRequest {
-		t.Fatalf("bad strategy: status %d", code)
+	// Unknown strategies are rejected, including the tree-unaware
+	// comparators, which are bench-only and not planner strategies.
+	for _, strat := range []string{"quantum", "naive", "sql", "sql-window"} {
+		if _, code := postQuery(t, ts.URL, QueryRequest{
+			Doc: "mem", Query: "/descendant::a",
+			Options: &QueryOptions{Strategy: strat},
+		}); code != http.StatusBadRequest {
+			t.Fatalf("bad strategy %q: /query status %d", strat, code)
+		}
+		resp, err := http.Get(ts.URL + "/explain?doc=mem&q=/descendant::a&strategy=" + strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad strategy %q: /explain status %d", strat, resp.StatusCode)
+		}
 	}
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
@@ -272,7 +285,7 @@ func randomQuery(rng *rand.Rand) string {
 	}
 }
 
-var propStrategies = []string{"staircase", "staircase-skip", "staircase-noskip", "sql", "sql-window"}
+var propStrategies = []string{"staircase", "staircase-skip", "staircase-noskip"}
 
 // TestConcurrentClientsMatchSerial is the server-concurrency property
 // test: N concurrent clients issue randomized (doc, query, options)
@@ -615,7 +628,7 @@ func TestExplainShowsValueIndexSource(t *testing.T) {
 	}
 	q := "/explain?doc=mem&q=" + url.QueryEscape("//open_auction[current > 100]")
 	out := get(ts.URL + q)
-	if !bytes.Contains([]byte(out), []byte("value index (numeric B-tree)")) {
+	if !bytes.Contains([]byte(out), []byte("value index (numeric partition)")) {
 		t.Fatalf("explain missing value-index source:\n%s", out)
 	}
 	out = get(ts.URL + q + "&noValueIndex=true")

@@ -11,8 +11,9 @@ import (
 // index enabled.
 type Options = engine.Options
 
-// Strategy selects the axis-step algorithm for the four partitioning
-// axes — the paper's comparison matrix.
+// Strategy selects the staircase join variant for the four
+// partitioning axes — the skipping comparison of the paper's
+// Experiment 2.
 type Strategy = engine.Strategy
 
 const (
@@ -23,18 +24,9 @@ const (
 	StaircaseSkip = engine.StaircaseSkip
 	// StaircaseNoSkip uses the basic partitioned scan (Algorithm 2).
 	StaircaseNoSkip = engine.StaircaseNoSkip
-	// NaiveStrategy evaluates one region query per context node and
-	// deduplicates afterwards (Experiment 1's strawman).
-	NaiveStrategy = engine.Naive
-	// SQLStrategy mimics the tree-unaware indexed plan of Figure 3.
-	SQLStrategy = engine.SQL
-	// SQLWindowStrategy is SQLStrategy plus the Equation (1) window
-	// predicate (§2.1).
-	SQLWindowStrategy = engine.SQLWindow
 )
 
-// PushdownMode controls name/kind-test pushdown for staircase
-// strategies.
+// PushdownMode controls name/kind-test pushdown.
 type PushdownMode = engine.Pushdown
 
 const (
